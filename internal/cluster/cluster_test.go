@@ -43,6 +43,14 @@ func (tn *testNode) kill() {
 // (so every member knows the full address list before any one starts).
 func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int) *testNode {
 	t.Helper()
+	return startMemberMode(t, ln, addrs, self, dir, replicas, false)
+}
+
+// startMemberMode is startMember with the routing mode explicit:
+// redirect makes the member answer requests for shards it does not own
+// with the owner's address instead of proxying them.
+func startMemberMode(t *testing.T, ln net.Listener, addrs []string, self int, dir string, replicas int, redirect bool) *testNode {
+	t.Helper()
 	st, err := persist.Open(persist.Options{Dir: filepath.Join(dir, "data")})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
@@ -54,6 +62,7 @@ func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir st
 			Self:     addrs[self],
 			Peers:    addrs,
 			Replicas: replicas,
+			Redirect: redirect,
 		},
 	})
 	if _, err := srv.Recover(); err != nil {
@@ -76,6 +85,13 @@ func startMember(t *testing.T, ln net.Listener, addrs []string, self int, dir st
 // startCluster boots size members with fresh stores and tempdirs.
 func startCluster(t *testing.T, size, replicas int) []*testNode {
 	t.Helper()
+	return startClusterMode(t, size, replicas, false)
+}
+
+// startClusterMode is startCluster with the routing mode explicit (see
+// startMemberMode).
+func startClusterMode(t *testing.T, size, replicas int, redirect bool) []*testNode {
+	t.Helper()
 	lns := make([]net.Listener, size)
 	addrs := make([]string, size)
 	for i := range lns {
@@ -88,7 +104,7 @@ func startCluster(t *testing.T, size, replicas int) []*testNode {
 	}
 	nodes := make([]*testNode, size)
 	for i := range nodes {
-		nodes[i] = startMember(t, lns[i], addrs, i, t.TempDir(), replicas)
+		nodes[i] = startMemberMode(t, lns[i], addrs, i, t.TempDir(), replicas, redirect)
 	}
 	return nodes
 }

@@ -596,16 +596,13 @@ func (n *Node) handbackMutate(hb *handback, id string, key uint64, op uint8, arg
 
 // handbackQuery is handbackMutate's read-side twin. handled == false
 // hands the (now reconciled) query to the server's local path.
-func (n *Node) handbackQuery(hb *handback, id string, req *server.QueryRequest) (*server.QueryResponse, bool, error) {
+func (n *Node) handbackQuery(hb *handback, id string, q *wire.Query) (*wire.Result, bool, error) {
 	if addr := hb.successor(); addr != "" {
 		if c, err := n.client(addr); err == nil {
-			q, qerr := server.WireQueryFromRequest(0, id, req)
-			if qerr != nil {
-				return nil, true, qerr
-			}
-			res, err := c.Do(q)
+			fq := *q // Do stamps the hop's ID on the copy
+			res, err := c.Do(&fq)
 			if err == nil {
-				return server.QueryResponseFromWire(res), true, nil
+				return res, true, nil
 			}
 			if serr := fromWireError(err); serr != nil {
 				if server.Classify(serr) != server.StatusNotFound {

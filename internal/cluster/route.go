@@ -297,16 +297,17 @@ func (n *Node) shipSnapshot(addr, id string) error {
 }
 
 // ShardQuery implements server.ClusterHooks. handled == false hands the
-// query back to the server's local zero-conversion path — the shard is
-// (possibly just promoted to be) served here, or is a node-local
-// non-cluster id.
-func (n *Node) ShardQuery(id string, req *server.QueryRequest) (*server.QueryResponse, bool, error) {
+// query back to the server's local path — the shard is (possibly just
+// promoted to be) served here, or is a node-local non-cluster id. A
+// proxied query travels as a shallow copy: wire.Client.Do stamps the
+// copy with its hop-local ID, leaving the caller's ID untouched.
+func (n *Node) ShardQuery(id string, q *wire.Query) (*wire.Result, bool, error) {
 	key, ok := shardKey(id)
 	if !ok {
 		return nil, false, nil
 	}
 	if hb := n.handbackFor(id); hb != nil {
-		return n.handbackQuery(hb, id, req)
+		return n.handbackQuery(hb, id, q)
 	}
 	if _, served := n.srv.DynShard(id); served {
 		return nil, false, nil // served here (owner or surrogate): local fast path
@@ -329,11 +330,8 @@ func (n *Node) ShardQuery(id string, req *server.QueryRequest) (*server.QueryRes
 		if err != nil {
 			continue
 		}
-		q, err := server.WireQueryFromRequest(0, id, req)
-		if err != nil {
-			return nil, true, err
-		}
-		res, err := c.Do(q)
+		fq := *q
+		res, err := c.Do(&fq)
 		if err != nil {
 			if serr := fromWireError(err); serr != nil {
 				return nil, true, serr
@@ -341,7 +339,7 @@ func (n *Node) ShardQuery(id string, req *server.QueryRequest) (*server.QueryRes
 			n.markDown(owner)
 			continue
 		}
-		return server.QueryResponseFromWire(res), true, nil
+		return res, true, nil
 	}
 	return nil, true, server.Errf(server.StatusUnavailable,
 		"cluster: no live owner for shard %s", id)

@@ -59,12 +59,13 @@ type ClusterHooks interface {
 	// a non-owner it proxies or returns a redirect error.
 	Mutate(shardID string, op uint8, arg int) (MutateResult, error)
 
-	// ShardQuery routes a dyn-shard query. handled == false means the
-	// shard is (or should be) local: the caller serves it from its own
-	// table, keeping the zero-conversion fast path. handled == true
-	// means the hook produced the response (proxied) or the error
-	// (redirect, owner unreachable).
-	ShardQuery(shardID string, req *QueryRequest) (resp *QueryResponse, handled bool, err error)
+	// ShardQuery routes a dyn-shard query the server does not serve
+	// locally; q has already passed validation. handled == false means
+	// the shard is (or should be) local: the caller serves it from its
+	// own table. handled == true means the hook produced the result
+	// (proxied; its ID is the caller's to set) or the error (redirect,
+	// owner unreachable). q is borrowed for the call only.
+	ShardQuery(shardID string, q *wire.Query) (res *wire.Result, handled bool, err error)
 
 	// ApplySnapshot and ApplyRecords are the follower half of the
 	// replication conversation (FrameRepSnapshot / FrameRepRecords):

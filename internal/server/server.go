@@ -1,16 +1,22 @@
-// Package server exposes the batched query engines over HTTP/JSON: the
-// serving subsystem behind cmd/spatialtreed. It separates request
-// arrival from batch execution the way the paper separates layout
-// construction from kernel runs — handlers enqueue work and wait on
-// futures while a per-shard adaptive scheduler (the engines' autoflush:
-// MaxBatch requests or a MaxDelay deadline, whichever comes first)
-// decides when simulator runs actually happen, so concurrent clients
-// hitting one tree coalesce into far fewer runs than requests.
+// Package server exposes the batched query engines: the serving
+// subsystem behind cmd/spatialtreed. It separates request arrival from
+// batch execution the way the paper separates layout construction from
+// kernel runs — requests enqueue work and wait on futures while a
+// per-shard adaptive scheduler (the engines' autoflush: MaxBatch
+// requests or a MaxDelay deadline, whichever comes first) decides when
+// kernel runs actually happen, so concurrent clients hitting one tree
+// coalesce into far fewer runs than requests.
+//
+// Every query, whichever protocol carried it, runs one request path
+// (Server.query) on one request model, wire.Query → wire.Result: admit,
+// validate, route, submit, wait. The binary listener (tcp.go) decodes
+// frames straight into that model; the HTTP handlers are a thin JSON
+// codec onto it (QueryRequest in, QueryResponse out).
 //
 // Endpoints:
 //
 //	POST /v1/trees          register an immutable tree → tree_id
-//	POST /v1/query          run treefix|topdown|lca|mincut on a tree
+//	POST /v1/query          run treefix|topdown|lca|mincut|expr on a tree
 //	POST /v1/dyn            create a mutable shard → shard_id
 //	GET  /v1/dyn/{id}       shard status: layout config + tuner state
 //	POST /v1/dyn/{id}/mutate  insert/delete a leaf
@@ -33,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -147,11 +154,11 @@ func New(cfg Config) *Server {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/trees", s.admitted(s.handleRegister))
-	s.mux.HandleFunc("POST /v1/query", s.admitted(s.handleQuery))
+	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/dyn", s.admitted(s.handleDynCreate))
 	s.mux.HandleFunc("GET /v1/dyn/{id}", s.handleDynStatus)
 	s.mux.HandleFunc("POST /v1/dyn/{id}/mutate", s.admitted(s.handleDynMutate))
-	s.mux.HandleFunc("POST /v1/dyn/{id}/query", s.admitted(s.handleDynQuery))
+	s.mux.HandleFunc("POST /v1/dyn/{id}/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/cluster/status", s.handleClusterStatus)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -222,30 +229,47 @@ func (s *Server) exit() {
 	s.flightMu.Unlock()
 }
 
-// admitted wraps a handler with admission control: requests beyond the
-// bounded queue are rejected with 429 (backpressure the client can see)
-// and everything admitted is tracked for Drain.
+// Admission refusals. Prebuilt: a saturated server refuses without
+// allocating.
+var (
+	errQueueFull = statusErr(StatusTooMany, errors.New("request queue full"))
+	errDraining  = statusErr(StatusUnavailable, errors.New("server is draining"))
+)
+
+// admit is the bounded-queue admission every client request passes,
+// whichever codec carried it: requests beyond QueueLimit are refused
+// with StatusTooMany (backpressure the client can see), and once Drain
+// started with StatusUnavailable. An admitted request is tracked for
+// Drain and must call release when done.
+func (s *Server) admit() error {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		s.rejected.Add(1)
+		return errQueueFull
+	}
+	if !s.enter() {
+		<-s.sem
+		return errDraining
+	}
+	s.accepted.Add(1)
+	return nil
+}
+
+// release retires a request admit let in.
+func (s *Server) release() {
+	<-s.sem
+	s.exit()
+}
+
+// admitted wraps an HTTP handler in admission control.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeStatus(w, StatusTooMany, "request queue full")
+		if err := s.admit(); err != nil {
+			writeErr(w, err)
 			return
 		}
-		if !s.enter() {
-			<-s.sem
-			writeStatus(w, StatusUnavailable, "server is draining")
-			return
-		}
-		s.accepted.Add(1)
-		defer func() {
-			<-s.sem
-			s.exit()
-		}()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.BodyLimit)
+		defer s.release()
 		h(w, r)
 	}
 }
@@ -335,7 +359,7 @@ func treeID(fp uint64) string {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	t, err := tree.FromParents(req.Parents)
@@ -343,15 +367,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, StatusBadRequest, err.Error())
 		return
 	}
-	if req.Backend != "" && !exec.Valid(req.Backend) {
-		writeStatus(w, StatusBadRequest, fmt.Sprintf("unknown backend %q (want %q or %q)", req.Backend, exec.Native, exec.Sim))
-		return
-	}
 	id, err := s.registerTree(t, true, req.Backend)
-	if errors.Is(err, errShardLimit) {
-		writeStatus(w, StatusTooMany, err.Error())
-		return
-	}
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -372,154 +388,274 @@ type submitter interface {
 	SubmitExpr(*exprtree.Expr) *engine.Future
 }
 
-// checkQuery validates the cheap, tree-independent parts of a query —
-// kind and operator — so handlers can reject garbage before any shard
-// state is created or budget consumed. Keep its kind set in sync with
-// submit's dispatch below.
-//
-//spatialvet:errclass
-func checkQuery(req *QueryRequest) error {
-	switch req.Kind {
-	case "lca", "mincut", "expr":
-		return nil
-	case "treefix", "topdown":
-		if req.Op == "" {
-			return nil
-		}
-		_, err := treefix.OpByName(req.Op)
-		return err
-	default:
-		return badRequest(fmt.Errorf("unknown kind %q (want treefix, topdown, lca, mincut or expr)", req.Kind))
-	}
+// wireScratch holds reusable submission state: the kernel-typed slices
+// a wire.Query converts into. A binary connection keeps one and reuses
+// it frame to frame — safe because a connection serves serially and
+// the engine releases its view of a request's inputs when the batch
+// retires.
+type wireScratch struct {
+	queries []lca.Query
+	edges   []mincut.Edge
+	kinds   []exprtree.NodeKind
 }
 
-// submit enqueues the request on the shard. It never runs kernel work
-// itself (beyond the size-trigger dispatch the scheduler may hand the
-// calling goroutine) — the returned future resolves when the shard's
-// scheduler flushes the batch. getTree supplies the shard's tree for
-// request kinds that need one to build their submission (expr); its
-// failure is a server-side error, never the client's.
+// query is the one request path every codec feeds. It admits q,
+// validates it, routes it to its shard (or to the cluster peer owning
+// it), submits it, waits for the batch and fills res, which then
+// answers q.ID. Errors classify through Classify; each codec renders
+// them its own way. scratch is the caller's reusable submission state.
 //
 //spatialvet:errclass
-func submit(sh submitter, req *QueryRequest, getTree func() (*tree.Tree, error)) (*engine.Future, error) {
-	switch req.Kind {
-	case "treefix", "topdown":
-		opName := req.Op
-		if opName == "" {
-			opName = "add"
+func (s *Server) query(q *wire.Query, res *wire.Result, scratch *wireScratch) error {
+	if err := s.admit(); err != nil {
+		return err
+	}
+	defer s.release()
+	if err := validate(q); err != nil {
+		return err
+	}
+	sh, retire, err := s.route(q, res)
+	if err != nil || sh == nil {
+		return err
+	}
+	defer retire()
+	fut, err := submit(sh, q, scratch)
+	if err != nil {
+		return err
+	}
+	r := fut.Wait()
+	if r.Err != nil {
+		return r.Err
+	}
+	*res = wire.Result{
+		ID:   q.ID,
+		Kind: q.Kind,
+		Cost: wire.Cost{Energy: r.Cost.Energy, Messages: r.Cost.Messages, Depth: r.Cost.Depth},
+	}
+	switch q.Kind {
+	case wire.KindTreefix, wire.KindTopDown:
+		res.Sums = r.Sums
+	case wire.KindLCA:
+		res.Answers = r.Answers
+	case wire.KindMinCut:
+		res.MinWeight, res.ArgVertex = r.MinCut.MinWeight, r.MinCut.ArgVertex
+	case wire.KindExpr:
+		res.Value = r.Value
+	}
+	return nil
+}
+
+// validate checks the tree-independent parts of q — kind, operator and
+// expr node kinds. It runs before routing, so no node creates shard
+// state, spends budget, proxies or redirects for a query it would
+// reject itself.
+//
+//spatialvet:errclass
+func validate(q *wire.Query) error {
+	switch q.Kind {
+	case wire.KindTreefix, wire.KindTopDown:
+		_, err := opOf(q)
+		return err
+	case wire.KindLCA, wire.KindMinCut:
+		return nil
+	case wire.KindExpr:
+		for i, k := range q.ExprKinds {
+			if k > uint8(exprtree.Mul) {
+				return badRequest(fmt.Errorf("expr_kinds[%d] = %d (want 0=leaf, 1=add or 2=mul)", i, k))
+			}
 		}
-		op, err := treefix.OpByName(opName)
+		return nil
+	}
+	return badRequest(fmt.Errorf("unknown query kind %d (want treefix, topdown, lca, mincut or expr)", q.Kind))
+}
+
+// opOf resolves a treefix/topdown query's operator ("" means add).
+func opOf(q *wire.Query) (treefix.Op, error) {
+	if q.Op == "" {
+		return treefix.Add, nil
+	}
+	return treefix.OpByName(q.Op)
+}
+
+// route resolves the shard serving q: a dyn shard by id (through the
+// cluster hooks when installed), a registered tree by id, or an ad-hoc
+// tree by parents. A nil submitter with a nil error means a cluster
+// peer answered q, into res. retire must run once q's future resolves.
+//
+//spatialvet:errclass
+func (s *Server) route(q *wire.Query, res *wire.Result) (sh submitter, retire func(), err error) {
+	switch {
+	case q.ShardID != "":
+		de, _ := s.DynShard(q.ShardID)
+		if h := s.clusterHooks(); de == nil && h != nil {
+			r, handled, err := h.ShardQuery(q.ShardID, q)
+			if err != nil {
+				return nil, nil, err
+			}
+			if handled {
+				*res = *r
+				res.ID = q.ID
+				return nil, nil, nil
+			}
+			// handled == false: the hook decided the shard is local —
+			// possibly promoted from a replica just now — so look again.
+			de, _ = s.DynShard(q.ShardID)
+		}
+		if de == nil {
+			return nil, nil, statusErrf(StatusNotFound, "unknown shard_id %s", q.ShardID)
+		}
+		return de, func() {}, nil
+	case q.TreeID != "":
+		s.mu.Lock()
+		t := s.trees[q.TreeID]
+		s.mu.Unlock()
+		if t == nil {
+			return nil, nil, statusErrf(StatusNotFound, "unknown tree_id %s", q.TreeID)
+		}
+		return s.engineFor(t)
+	case len(q.Parents) > 0:
+		t, err := tree.FromParents(q.Parents)
 		if err != nil {
-			return nil, badRequest(err)
+			return nil, nil, badRequest(err)
 		}
-		if req.Kind == "treefix" {
-			return sh.SubmitTreefix(req.Vals, op), nil
-		}
-		return sh.SubmitTopDown(req.Vals, op), nil
-	case "lca":
-		qs := make([]lca.Query, len(req.Queries))
-		for i, q := range req.Queries {
-			qs[i] = lca.Query{U: q.U, V: q.V}
-		}
-		return sh.SubmitLCA(qs), nil
-	case "mincut":
-		es := make([]mincut.Edge, len(req.Edges))
-		for i, e := range req.Edges {
-			es[i] = mincut.Edge{U: e.U, V: e.V, W: e.W}
-		}
-		return sh.SubmitMinCut(es), nil
-	case "expr":
-		t, err := getTree()
+		return s.engineFor(t)
+	}
+	return nil, nil, badRequest(errors.New("shard_id, tree_id or parents required"))
+}
+
+// submit enqueues q on the shard, converting its payload into the
+// kernel types through scratch. It never runs kernel work itself
+// (beyond the size-trigger dispatch the scheduler may hand the calling
+// goroutine) — the returned future resolves when the shard's scheduler
+// flushes the batch.
+//
+//spatialvet:errclass
+func submit(sh submitter, q *wire.Query, scratch *wireScratch) (*engine.Future, error) {
+	switch q.Kind {
+	case wire.KindTreefix, wire.KindTopDown:
+		op, err := opOf(q)
 		if err != nil {
 			return nil, err
 		}
-		kinds := make([]exprtree.NodeKind, len(req.ExprKinds))
-		for i, k := range req.ExprKinds {
-			if k < 0 || k > int(exprtree.Mul) {
-				return nil, badRequest(fmt.Errorf("expr_kinds[%d] = %d (want 0=leaf, 1=add or 2=mul)", i, k))
-			}
-			kinds[i] = exprtree.NodeKind(k)
+		if q.Kind == wire.KindTreefix {
+			return sh.SubmitTreefix(q.Vals, op), nil
 		}
+		return sh.SubmitTopDown(q.Vals, op), nil
+	case wire.KindLCA:
+		qs := scratch.queries[:0]
+		for _, lq := range q.Queries {
+			qs = append(qs, lca.Query{U: lq.U, V: lq.V})
+		}
+		scratch.queries = qs
+		return sh.SubmitLCA(qs), nil
+	case wire.KindMinCut:
+		es := scratch.edges[:0]
+		for _, e := range q.Edges {
+			es = append(es, mincut.Edge{U: e.U, V: e.V, W: e.W})
+		}
+		scratch.edges = es
+		return sh.SubmitMinCut(es), nil
+	case wire.KindExpr:
+		// The expression's shape is the shard's tree; a dyn shard
+		// snapshots its current one. A snapshot failure is the server's
+		// fault, never the client's.
+		var t *tree.Tree
+		switch sh := sh.(type) {
+		case *engine.Engine:
+			t = sh.Tree()
+		case *engine.DynEngine:
+			var err error
+			if t, err = sh.Tree(); err != nil {
+				return nil, err
+			}
+		}
+		ks := scratch.kinds[:0]
+		for _, k := range q.ExprKinds {
+			ks = append(ks, exprtree.NodeKind(k))
+		}
+		scratch.kinds = ks
 		// Length and shape invariants (full binary tree, leaf labeling)
 		// are SubmitExpr's validation, classified ErrInvalid there.
-		return sh.SubmitExpr(&exprtree.Expr{Tree: t, Kind: kinds, Val: req.Vals}), nil
-	default:
-		return nil, badRequest(fmt.Errorf("unknown kind %q (want treefix, topdown, lca, mincut or expr)", req.Kind))
+		return sh.SubmitExpr(&exprtree.Expr{Tree: t, Kind: ks, Val: q.Vals}), nil
 	}
+	return nil, badRequest(fmt.Errorf("unknown query kind %d", q.Kind))
 }
 
-// serveQuery runs the shared tail of both query endpoints: enqueue,
-// wait for the scheduler to dispatch the batch, translate the result.
-// Errors render through Classify: the client's faults are 400s, the
-// server's 500s.
-func serveQuery(w http.ResponseWriter, sh submitter, req *QueryRequest, getTree func() (*tree.Tree, error)) {
-	fut, err := submit(sh, req, getTree)
-	if err != nil {
-		writeErr(w, err)
+// handleQuery serves POST /v1/query and POST /v1/dyn/{id}/query: the
+// JSON codec onto the request path. It decodes a QueryRequest into a
+// wire.Query (the dyn endpoint routes by its path id and ignores
+// tree_id and parents), runs it, and renders the wire.Result as a
+// QueryResponse.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if !s.decode(w, r, &req) {
 		return
 	}
-	res := fut.Wait()
-	if res.Err != nil {
-		writeErr(w, res.Err)
-		return
+	q, err := queryFromJSON(&req, r.PathValue("id"))
+	if err == nil {
+		var res wire.Result
+		if err = s.query(q, &res, &wireScratch{}); err == nil {
+			writeJSON(w, http.StatusOK, responseFromResult(&res))
+			return
+		}
 	}
+	writeErr(w, err)
+}
+
+// queryFromJSON is the JSON codec's decode half. shardID is the dyn
+// endpoint's path id ("" on /v1/query, which routes by exactly one of
+// tree_id and parents).
+//
+//spatialvet:errclass
+func queryFromJSON(req *QueryRequest, shardID string) (*wire.Query, error) {
+	kind, ok := wire.KindByName(req.Kind)
+	if !ok {
+		return nil, badRequest(fmt.Errorf("unknown kind %q (want treefix, topdown, lca, mincut or expr)", req.Kind))
+	}
+	q := &wire.Query{Kind: kind, ShardID: shardID, Op: req.Op, Vals: req.Vals}
+	if shardID == "" {
+		// The API contract is "exactly one of tree_id / parents";
+		// silently preferring one would mask a client bug where the two
+		// disagree.
+		if req.TreeID != "" && len(req.Parents) > 0 {
+			return nil, badRequest(errors.New("exactly one of tree_id and parents may be set"))
+		}
+		q.TreeID, q.Parents = req.TreeID, req.Parents
+	}
+	q.Queries = make([]wire.LCAQuery, len(req.Queries))
+	for i, lq := range req.Queries {
+		q.Queries[i] = wire.LCAQuery{U: lq.U, V: lq.V}
+	}
+	q.Edges = make([]wire.Edge, len(req.Edges))
+	for i, e := range req.Edges {
+		q.Edges[i] = wire.Edge{U: e.U, V: e.V, W: e.W}
+	}
+	q.ExprKinds = make([]uint8, len(req.ExprKinds))
+	for i, k := range req.ExprKinds {
+		if k < 0 || k > math.MaxUint8 {
+			return nil, badRequest(fmt.Errorf("expr_kinds[%d] = %d (want 0=leaf, 1=add or 2=mul)", i, k))
+		}
+		q.ExprKinds[i] = uint8(k)
+	}
+	return q, nil
+}
+
+// responseFromResult is the JSON codec's encode half: exactly the
+// field matching the result kind is populated.
+func responseFromResult(res *wire.Result) QueryResponse {
 	resp := QueryResponse{
 		Sums:    res.Sums,
 		Answers: res.Answers,
 		Cost:    Cost{Energy: res.Cost.Energy, Messages: res.Cost.Messages, Depth: res.Cost.Depth},
 	}
-	switch req.Kind {
-	case "mincut":
-		resp.MinCut = &MinCutResult{MinWeight: res.MinCut.MinWeight, ArgVertex: res.MinCut.ArgVertex}
-	case "expr":
+	switch res.Kind {
+	case wire.KindMinCut:
+		resp.MinCut = &MinCutResult{MinWeight: res.MinWeight, ArgVertex: res.ArgVertex}
+	case wire.KindExpr:
 		v := res.Value
 		resp.Value = &v
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := checkQuery(&req); err != nil {
-		writeStatus(w, StatusBadRequest, err.Error())
-		return
-	}
-	var t *tree.Tree
-	switch {
-	case req.TreeID != "" && len(req.Parents) > 0:
-		// The API contract is "exactly one of tree_id / parents";
-		// silently preferring one would mask a client bug where the two
-		// disagree.
-		writeStatus(w, StatusBadRequest, "exactly one of tree_id and parents may be set")
-		return
-	case req.TreeID != "":
-		s.mu.Lock()
-		t = s.trees[req.TreeID]
-		s.mu.Unlock()
-		if t == nil {
-			writeStatus(w, StatusNotFound, "unknown tree_id "+req.TreeID)
-			return
-		}
-	case len(req.Parents) > 0:
-		var err error
-		if t, err = tree.FromParents(req.Parents); err != nil {
-			writeStatus(w, StatusBadRequest, err.Error())
-			return
-		}
-	default:
-		writeStatus(w, StatusBadRequest, "tree_id or parents required")
-		return
-	}
-	eng, retire, err := s.engineFor(t)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	serveQuery(w, eng, &req, func() (*tree.Tree, error) { return t, nil })
-	retire()
+	return resp
 }
 
 // engineFor resolves the shard serving an ad-hoc query tree. Known
@@ -587,7 +723,7 @@ func (s *Server) engineFor(t *tree.Tree) (*engine.Engine, func(), error) {
 
 func (s *Server) handleDynCreate(w http.ResponseWriter, r *http.Request) {
 	var req DynCreateRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	res, err := s.dynCreate(req.Parents, req.Epsilon, req.Backend)
@@ -601,7 +737,7 @@ func (s *Server) handleDynCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDynMutate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req MutateRequest
-	if !decode(w, r, &req) {
+	if !s.decode(w, r, &req) {
 		return
 	}
 	var op uint8
@@ -621,41 +757,6 @@ func (s *Server) handleDynMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, MutateResponse{Vertex: res.Vertex, Moved: res.Moved, Epoch: res.Epoch, N: res.N})
-}
-
-func (s *Server) handleDynQuery(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req QueryRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	// Same pre-validation as /v1/query (a dyn shard has no budget to
-	// protect, but the two surfaces must agree on what a valid request
-	// is) — and it runs before routing, so a cluster never proxies a
-	// request its own surface would reject.
-	if err := checkQuery(&req); err != nil {
-		writeStatus(w, StatusBadRequest, err.Error())
-		return
-	}
-	if h := s.clusterHooks(); h != nil {
-		resp, handled, err := h.ShardQuery(id, &req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		if handled {
-			writeJSON(w, http.StatusOK, *resp)
-			return
-		}
-	}
-	s.mu.Lock()
-	de := s.dyns[id]
-	s.mu.Unlock()
-	if de == nil {
-		writeStatus(w, StatusNotFound, "unknown shard_id "+id)
-		return
-	}
-	serveQuery(w, de, &req, de.Tree)
 }
 
 // handleDynStatus reports a locally served shard's current layout
@@ -841,9 +942,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{OK: true})
 }
 
-// decode parses the JSON body into v, replying 400 (or 413 for an
-// oversized body) itself on failure.
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode parses the JSON body, bounded by BodyLimit, into v, replying
+// 400 (or 413 for an oversized body) itself on failure.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.Limits.BodyLimit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

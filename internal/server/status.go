@@ -201,12 +201,16 @@ func writeStatus(w http.ResponseWriter, st Status, msg string) {
 	writeJSON(w, st.HTTP(), ErrorResponse{Error: msg, Status: st.String()})
 }
 
-// writeErr classifies err and renders it on the HTTP surface. Redirects
+// writeErr classifies err and renders it on the HTTP surface. A 429
+// carries Retry-After (backpressure the client can pace on). Redirects
 // additionally carry the owner address, both in the response body and
 // in an X-Spatialtree-Owner header (the binary-protocol address — 421
 // has no Location semantics for a non-HTTP endpoint).
 func writeErr(w http.ResponseWriter, err error) {
 	st := Classify(err)
+	if st == StatusTooMany {
+		w.Header().Set("Retry-After", "1")
+	}
 	var re redirectError
 	if errors.As(err, &re) {
 		w.Header().Set("X-Spatialtree-Owner", re.Addr)
@@ -216,13 +220,14 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeStatus(w, st, err.Error())
 }
 
-// wireErr classifies err for the binary surface: its wire status and
-// the message to carry (redirects carry the bare owner address — the
-// contract FollowRedirects dials).
-func wireErr(err error) (wire.Status, string) {
+// appendWireErr classifies err and appends the error frame answering
+// frame id: writeErr's binary twin. Redirects carry the bare owner
+// address as the message — the contract FollowRedirects dials.
+func appendWireErr(out []byte, id uint64, err error) []byte {
+	e := wire.Error{ID: id, Status: Classify(err).Wire(), Msg: err.Error()}
 	var re redirectError
 	if errors.As(err, &re) {
-		return wire.StatusRedirect, re.Addr
+		e.Msg = re.Addr
 	}
-	return Classify(err).Wire(), err.Error()
+	return wire.AppendError(out, &e)
 }

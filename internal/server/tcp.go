@@ -1,15 +1,18 @@
 package server
 
-// The binary-protocol listener: the same serving semantics as the HTTP
-// handlers — shard routing by tree id or ad-hoc parents, bounded-queue
-// admission with an explicit backpressure status, drain awareness, the
-// same 400-vs-500 error classification — over internal/wire frames on
-// raw TCP. One connection processes its queries in arrival order (like
-// HTTP/1.1 on one connection); concurrency comes from many connections,
-// whose requests coalesce into shared batches exactly as HTTP traffic
-// does. The per-connection hot path is allocation-free: the frame
-// reader, decoded query, submission scratch and response buffer are all
-// connection-local and reused frame to frame.
+// The binary-protocol listener: a codec onto the same request path as
+// the HTTP handlers. A query frame decodes straight into the wire.Query
+// that Server.query runs — the same admission, validation, routing
+// (cluster hooks included), submission and error classification — and
+// its wire.Result encodes straight back. One connection processes its
+// frames in arrival order (like HTTP/1.1 on one connection);
+// concurrency comes from many connections, whose requests coalesce
+// into shared batches exactly as HTTP traffic does. Each connection
+// keeps its frame reader, decoded query, result, submission scratch and
+// response buffer, and reuses them frame to frame. What a locally
+// served query still allocates is routing's (the tree id engineFor
+// formats) and the engine's (future, batch, kernel output);
+// TestBinaryQueryAllocs pins the count.
 
 import (
 	"bufio"
@@ -18,12 +21,6 @@ import (
 	"net"
 	"time"
 
-	"spatialtree/internal/engine"
-	"spatialtree/internal/exprtree"
-	"spatialtree/internal/lca"
-	"spatialtree/internal/mincut"
-	"spatialtree/internal/tree"
-	"spatialtree/internal/treefix"
 	"spatialtree/internal/wire"
 )
 
@@ -83,16 +80,6 @@ func (s *Server) CloseBinary() {
 	for _, c := range conns {
 		_ = c.Close()
 	}
-}
-
-// wireScratch holds a connection's reusable submission state: the
-// kernel-typed slices a wire.Query converts into. Reused frame to
-// frame — safe because a connection serves serially and the engine
-// releases its view of a request's inputs when the batch retires.
-type wireScratch struct {
-	queries []lca.Query
-	edges   []mincut.Edge
-	kinds   []exprtree.NodeKind
 }
 
 // serveConn runs one connection's frame loop.
@@ -164,7 +151,12 @@ func (s *Server) serveConn(conn net.Conn) {
 				badFrame(err)
 				return
 			}
-			out = s.serveWireQuery(out[:0], &q, &res, &scratch)
+			s.wireQueries.Add(1)
+			if err := s.query(&q, &res, &scratch); err != nil {
+				out = appendWireErr(out[:0], q.ID, err)
+			} else {
+				out = wire.AppendResult(out[:0], &res)
+			}
 			if !writeFrame(out) {
 				return
 			}
@@ -231,138 +223,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// admitWire performs the bounded-queue admission shared by every
-// client-originated wire frame: the same QueueLimit backpressure, drain
-// tracking and counters as the HTTP layer, so /metrics reports one
-// serving truth. A nil release means the request was refused with the
-// returned status; otherwise the caller must defer release.
-func (s *Server) admitWire() (release func(), status wire.Status, msg string) {
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.rejected.Add(1)
-		return nil, wire.StatusTooMany, "request queue full"
-	}
-	if !s.enter() {
-		<-s.sem
-		return nil, wire.StatusUnavailable, "server is draining"
-	}
-	s.accepted.Add(1)
-	return func() {
-		<-s.sem
-		s.exit()
-	}, 0, ""
-}
-
-// serveWireQuery admits, routes, executes and encodes one query,
-// appending the response frame (result or error) to out. It mirrors
-// the HTTP path stage for stage: the same bounded-queue admission and
-// counters, the same shard routing (including the cluster hooks), the
-// same error classification.
-func (s *Server) serveWireQuery(out []byte, q *wire.Query, res *wire.Result, scratch *wireScratch) []byte {
-	s.wireQueries.Add(1)
-	fail := func(status wire.Status, msg string) []byte {
-		return wire.AppendError(out, &wire.Error{ID: q.ID, Status: status, Msg: msg})
-	}
-
-	release, status, msg := s.admitWire()
-	if release == nil {
-		return fail(status, msg)
-	}
-	defer release()
-
-	// Routing, as in handleQuery/handleDynQuery. The frame format routes
-	// by exactly one of shard id / tree id / parents by construction, so
-	// the HTTP both-set 400 has no binary counterpart.
-	var (
-		sh      submitter
-		getTree func() (*tree.Tree, error)
-		retire  = func() {}
-	)
-	switch {
-	case q.ShardID != "":
-		s.mu.Lock()
-		de := s.dyns[q.ShardID]
-		s.mu.Unlock()
-		if de == nil {
-			if h := s.clusterHooks(); h != nil {
-				// Cluster slow path by design: proxied and redirected
-				// queries convert through the JSON request types; only
-				// locally served frames stay zero-alloc.
-				resp, handled, err := h.ShardQuery(q.ShardID, queryRequestFromWire(q))
-				if err != nil {
-					return fail(wireErr(err))
-				}
-				if handled {
-					*res = wireResultFromResponse(q.ID, q.Kind, resp)
-					return wire.AppendResult(out, res)
-				}
-				// handled == false: the hook decided the shard is local —
-				// possibly promoted from a replica just now — so look
-				// again before giving up.
-				s.mu.Lock()
-				de = s.dyns[q.ShardID]
-				s.mu.Unlock()
-			}
-			if de == nil {
-				return fail(wire.StatusNotFound, "unknown shard_id "+q.ShardID)
-			}
-		}
-		sh, getTree = de, de.Tree
-	case q.TreeID != "":
-		s.mu.Lock()
-		t := s.trees[q.TreeID]
-		s.mu.Unlock()
-		if t == nil {
-			return fail(wire.StatusNotFound, "unknown tree_id "+q.TreeID)
-		}
-		eng, ret, err := s.engineFor(t)
-		if err != nil {
-			return fail(wireErr(err))
-		}
-		sh, getTree, retire = eng, func() (*tree.Tree, error) { return t, nil }, ret
-	case len(q.Parents) > 0:
-		t, err := tree.FromParents(q.Parents)
-		if err != nil {
-			return fail(wire.StatusBadRequest, err.Error())
-		}
-		eng, ret, err := s.engineFor(t)
-		if err != nil {
-			return fail(wireErr(err))
-		}
-		sh, getTree, retire = eng, func() (*tree.Tree, error) { return t, nil }, ret
-	default:
-		return fail(wire.StatusBadRequest, "shard_id, tree_id or parents required")
-	}
-	defer retire()
-
-	fut, err := submitWire(sh, q, getTree, scratch)
-	if err != nil {
-		return fail(wireErr(err))
-	}
-	r := fut.Wait()
-	if r.Err != nil {
-		return fail(wireErr(r.Err))
-	}
-
-	*res = wire.Result{
-		ID:   q.ID,
-		Kind: q.Kind,
-		Cost: wire.Cost{Energy: r.Cost.Energy, Messages: r.Cost.Messages, Depth: r.Cost.Depth},
-	}
-	switch q.Kind {
-	case wire.KindTreefix, wire.KindTopDown:
-		res.Sums = r.Sums
-	case wire.KindLCA:
-		res.Answers = r.Answers
-	case wire.KindMinCut:
-		res.MinWeight, res.ArgVertex = r.MinCut.MinWeight, r.MinCut.ArgVertex
-	case wire.KindExpr:
-		res.Value = r.Value
-	}
-	return wire.AppendResult(out, res)
-}
-
 // serveWireDynCreate serves one FrameDynCreate: the binary twin of
 // POST /v1/dyn, routed through the cluster hooks exactly as the HTTP
 // handler is. A frame naming its shard id is the cluster owner path —
@@ -370,14 +230,10 @@ func (s *Server) serveWireQuery(out []byte, q *wire.Query, res *wire.Result, scr
 // locally (re-routing would bounce between skewed ring views).
 func (s *Server) serveWireDynCreate(out []byte, dc *wire.DynCreate) []byte {
 	s.wireQueries.Add(1)
-	fail := func(status wire.Status, msg string) []byte {
-		return wire.AppendError(out, &wire.Error{ID: dc.ID, Status: status, Msg: msg})
+	if err := s.admit(); err != nil {
+		return appendWireErr(out, dc.ID, err)
 	}
-	release, status, msg := s.admitWire()
-	if release == nil {
-		return fail(status, msg)
-	}
-	defer release()
+	defer s.release()
 	var res DynCreateResult
 	var err error
 	if dc.ShardID != "" {
@@ -386,7 +242,7 @@ func (s *Server) serveWireDynCreate(out []byte, dc *wire.DynCreate) []byte {
 		res, err = s.dynCreate(dc.Parents, dc.Epsilon, dc.Backend)
 	}
 	if err != nil {
-		return fail(wireErr(err))
+		return appendWireErr(out, dc.ID, err)
 	}
 	return wire.AppendDynCreated(out, &wire.DynCreated{ID: dc.ID, ShardID: res.ID, N: res.N, Backend: res.Backend})
 }
@@ -395,17 +251,13 @@ func (s *Server) serveWireDynCreate(out []byte, dc *wire.DynCreate) []byte {
 // POST /v1/dyn/{id}/mutate, routed through the cluster hooks.
 func (s *Server) serveWireMutate(out []byte, m *wire.Mutate) []byte {
 	s.wireQueries.Add(1)
-	fail := func(status wire.Status, msg string) []byte {
-		return wire.AppendError(out, &wire.Error{ID: m.ID, Status: status, Msg: msg})
+	if err := s.admit(); err != nil {
+		return appendWireErr(out, m.ID, err)
 	}
-	release, status, msg := s.admitWire()
-	if release == nil {
-		return fail(status, msg)
-	}
-	defer release()
+	defer s.release()
 	res, err := s.mutate(m.ShardID, m.Op, m.Arg)
 	if err != nil {
-		return fail(wireErr(err))
+		return appendWireErr(out, m.ID, err)
 	}
 	return wire.AppendMutated(out, &wire.Mutated{ID: m.ID, Vertex: res.Vertex, Moved: res.Moved, Epoch: res.Epoch, N: res.N})
 }
@@ -439,153 +291,4 @@ func (s *Server) serveWireHandback(out []byte, ho *wire.HandbackOffer) []byte {
 	g := h.Handback(ho)
 	g.ID, g.ShardID = ho.ID, ho.ShardID
 	return wire.AppendHandbackGrant(out, g)
-}
-
-// queryRequestFromWire converts a decoded binary query into its JSON
-// twin for the cluster proxy path. Scalar slices are borrowed, not
-// copied: the hook call consuming the request is synchronous, finishing
-// before the connection reuses its decode buffers.
-func queryRequestFromWire(q *wire.Query) *QueryRequest {
-	req := &QueryRequest{Kind: wire.KindName(q.Kind), Op: q.Op, Vals: q.Vals}
-	switch q.Kind {
-	case wire.KindLCA:
-		req.Queries = make([]LCAQuery, len(q.Queries))
-		for i, lq := range q.Queries {
-			req.Queries[i] = LCAQuery{U: lq.U, V: lq.V}
-		}
-	case wire.KindMinCut:
-		req.Edges = make([]GraphEdge, len(q.Edges))
-		for i, e := range q.Edges {
-			req.Edges[i] = GraphEdge{U: e.U, V: e.V, W: e.W}
-		}
-	case wire.KindExpr:
-		req.ExprKinds = make([]int, len(q.ExprKinds))
-		for i, k := range q.ExprKinds {
-			req.ExprKinds[i] = int(k)
-		}
-	}
-	return req
-}
-
-// wireResultFromResponse converts a proxied JSON response back into the
-// binary result answering frame id.
-func wireResultFromResponse(id uint64, kind uint8, resp *QueryResponse) wire.Result {
-	res := wire.Result{
-		ID:      id,
-		Kind:    kind,
-		Sums:    resp.Sums,
-		Answers: resp.Answers,
-		Cost:    wire.Cost{Energy: resp.Cost.Energy, Messages: resp.Cost.Messages, Depth: resp.Cost.Depth},
-	}
-	if resp.MinCut != nil {
-		res.MinWeight, res.ArgVertex = resp.MinCut.MinWeight, resp.MinCut.ArgVertex
-	}
-	if resp.Value != nil {
-		res.Value = *resp.Value
-	}
-	return res
-}
-
-// WireQueryFromRequest converts a JSON query request into the binary
-// query the cluster proxy forwards to a shard owner.
-func WireQueryFromRequest(id uint64, shardID string, req *QueryRequest) (*wire.Query, error) {
-	kind, ok := wire.KindByName(req.Kind)
-	if !ok {
-		return nil, statusErrf(StatusBadRequest, "unknown kind %q (want treefix, topdown, lca, mincut or expr)", req.Kind)
-	}
-	q := &wire.Query{ID: id, Kind: kind, ShardID: shardID, Op: req.Op, Vals: req.Vals}
-	switch kind {
-	case wire.KindLCA:
-		q.Queries = make([]wire.LCAQuery, len(req.Queries))
-		for i, lq := range req.Queries {
-			q.Queries[i] = wire.LCAQuery{U: lq.U, V: lq.V}
-		}
-	case wire.KindMinCut:
-		q.Edges = make([]wire.Edge, len(req.Edges))
-		for i, e := range req.Edges {
-			q.Edges[i] = wire.Edge{U: e.U, V: e.V, W: e.W}
-		}
-	case wire.KindExpr:
-		q.ExprKinds = make([]uint8, len(req.ExprKinds))
-		for i, k := range req.ExprKinds {
-			if k < 0 || k > 255 {
-				return nil, statusErrf(StatusBadRequest, "expr_kinds[%d] = %d (want 0=leaf, 1=add or 2=mul)", i, k)
-			}
-			q.ExprKinds[i] = uint8(k)
-		}
-	}
-	return q, nil
-}
-
-// QueryResponseFromWire converts a binary result received from a shard
-// owner into the JSON response the proxying node returns to its client.
-func QueryResponseFromWire(res *wire.Result) *QueryResponse {
-	resp := &QueryResponse{
-		Sums:    res.Sums,
-		Answers: res.Answers,
-		Cost:    Cost{Energy: res.Cost.Energy, Messages: res.Cost.Messages, Depth: res.Cost.Depth},
-	}
-	switch res.Kind {
-	case wire.KindMinCut:
-		resp.MinCut = &MinCutResult{MinWeight: res.MinWeight, ArgVertex: res.ArgVertex}
-	case wire.KindExpr:
-		v := res.Value
-		resp.Value = &v
-	}
-	return resp
-}
-
-// submitWire enqueues a decoded binary query on the shard, converting
-// its payload into the kernel types through the connection's reusable
-// scratch. Identical dispatch and validation to submit; getTree
-// supplies the routed tree (consulted only for expr submissions — for a
-// dyn shard it snapshots the current tree).
-//
-//spatialvet:errclass
-func submitWire(sh submitter, q *wire.Query, getTree func() (*tree.Tree, error), scratch *wireScratch) (*engine.Future, error) {
-	switch q.Kind {
-	case wire.KindTreefix, wire.KindTopDown:
-		opName := q.Op
-		if opName == "" {
-			opName = "add"
-		}
-		op, err := treefix.OpByName(opName)
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		if q.Kind == wire.KindTreefix {
-			return sh.SubmitTreefix(q.Vals, op), nil
-		}
-		return sh.SubmitTopDown(q.Vals, op), nil
-	case wire.KindLCA:
-		qs := scratch.queries[:0]
-		for _, lq := range q.Queries {
-			qs = append(qs, lca.Query{U: lq.U, V: lq.V})
-		}
-		scratch.queries = qs
-		return sh.SubmitLCA(qs), nil
-	case wire.KindMinCut:
-		es := scratch.edges[:0]
-		for _, e := range q.Edges {
-			es = append(es, mincut.Edge{U: e.U, V: e.V, W: e.W})
-		}
-		scratch.edges = es
-		return sh.SubmitMinCut(es), nil
-	case wire.KindExpr:
-		t, err := getTree()
-		if err != nil {
-			return nil, err
-		}
-		ks := scratch.kinds[:0]
-		for _, k := range q.ExprKinds {
-			if k > uint8(exprtree.Mul) {
-				return nil, badRequest(fmt.Errorf("expr kind %d (want 0=leaf, 1=add or 2=mul)", k))
-			}
-			ks = append(ks, exprtree.NodeKind(k))
-		}
-		scratch.kinds = ks
-		return sh.SubmitExpr(&exprtree.Expr{Tree: t, Kind: ks, Val: q.Vals}), nil
-	default:
-		return nil, badRequest(fmt.Errorf("unknown query kind %d", q.Kind))
-	}
 }

@@ -101,14 +101,6 @@ func Dial(addr string, opts DialOptions) (*Client, error) {
 	return NewClientOptions(conn, opts), nil
 }
 
-// DialTimeout connects to a binary-protocol server at addr.
-//
-// Deprecated: this is the positional PR 5 dial API. Use Dial with
-// DialOptions, which carries the connect timeout and more.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return Dial(addr, DialOptions{DialTimeout: timeout})
-}
-
 // NewClient wraps an established connection with default options. The
 // client owns conn and closes it on Close or on any protocol error.
 func NewClient(conn net.Conn) *Client {
