@@ -524,7 +524,10 @@ func BenchmarkE16NativeBackend(b *testing.B) {
 // allocs/op gap shows the zero-alloc discipline of the binary hot
 // path (pooled frame buffers, connection-local decode state) against
 // per-request JSON marshalling. Acceptance: binary ≥ 2× JSON on
-// queries/s and ≤ half its allocs/op.
+// queries/s and ≤ half its allocs/op. The binary-tcp-1conn arm sends
+// the same clients' traffic over one shared wire.Client: the server
+// pipelines a connection's queries, so one connection keeps several
+// kernels busy instead of one.
 func BenchmarkE17WireThroughput(b *testing.B) {
 	const (
 		wireN   = 1 << 10
@@ -598,53 +601,59 @@ func BenchmarkE17WireThroughput(b *testing.B) {
 		reportQPS(b)
 	})
 
-	b.Run("binary-tcp", func(b *testing.B) {
-		s, id := newServer(b)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go func() { _ = s.ServeBinary(ln) }()
-		defer s.CloseBinary()
-		conns := make([]*wire.Client, clients)
-		for c := range conns {
-			cl, err := wire.Dial(ln.Addr().String(), wire.DialOptions{DialTimeout: 5 * time.Second})
+	// binaryArm runs the traffic over conns binary connections, the
+	// clients spread round-robin across them.
+	binaryArm := func(conns int) func(*testing.B) {
+		return func(b *testing.B) {
+			s, id := newServer(b)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cl.Close()
-			conns[c] = cl
-		}
-		var failed atomic.Value
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(cl *wire.Client) {
-					defer wg.Done()
-					q := wire.Query{Kind: wire.KindTreefix, TreeID: id, Vals: vals}
-					for r := 0; r < perIter; r++ {
-						res, err := cl.Do(&q)
-						if err != nil {
-							failed.Store(err)
-							return
-						}
-						if len(res.Sums) != wireN {
-							failed.Store(fmt.Errorf("bad response: %d sums", len(res.Sums)))
-							return
-						}
-					}
-				}(conns[c])
+			go func() { _ = s.ServeBinary(ln) }()
+			defer s.CloseBinary()
+			cls := make([]*wire.Client, conns)
+			for c := range cls {
+				cl, err := wire.Dial(ln.Addr().String(), wire.DialOptions{DialTimeout: 5 * time.Second})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer cl.Close()
+				cls[c] = cl
 			}
-			wg.Wait()
+			var failed atomic.Value
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for c := 0; c < clients; c++ {
+					wg.Add(1)
+					go func(cl *wire.Client) {
+						defer wg.Done()
+						q := wire.Query{Kind: wire.KindTreefix, TreeID: id, Vals: vals}
+						for r := 0; r < perIter; r++ {
+							res, err := cl.Do(&q)
+							if err != nil {
+								failed.Store(err)
+								return
+							}
+							if len(res.Sums) != wireN {
+								failed.Store(fmt.Errorf("bad response: %d sums", len(res.Sums)))
+								return
+							}
+						}
+					}(cls[c%conns])
+				}
+				wg.Wait()
+			}
+			b.StopTimer()
+			if err := failed.Load(); err != nil {
+				b.Fatal(err)
+			}
+			reportQPS(b)
 		}
-		b.StopTimer()
-		if err := failed.Load(); err != nil {
-			b.Fatal(err)
-		}
-		reportQPS(b)
-	})
+	}
+	b.Run("binary-tcp", binaryArm(clients))
+	b.Run("binary-tcp-1conn", binaryArm(1))
 }
 
 // BenchmarkExprEval measures the §V-cited application: Miller-Reif

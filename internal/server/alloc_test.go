@@ -8,14 +8,14 @@ import (
 )
 
 // TestBinaryQueryAllocs pins the allocations of one locally served
-// binary query — Server.query plus the result encode, exactly what
-// serveConn runs per query frame — on a registered n=2¹⁰ tree with the
-// native backend. MaxBatch 1 dispatches every query on submission, so
-// the count covers the whole request without a scheduler wait. What is
-// left is routing's tree id and the engine's future, batch and kernel
-// output; the connection-local state (decoded query, result,
-// submission scratch, response buffer) is reused and must stay out of
-// the count.
+// binary query — Server.query plus the result encode, exactly what a
+// connection's slot worker and writer run per query frame — on a
+// registered n=2¹⁰ tree with the native backend. MaxBatch 1 dispatches
+// every query on submission, so the count covers the whole request
+// without a scheduler wait. What is left is routing's tree id and the
+// engine's future, batch and kernel output; the decoded query, result
+// and submission scratch live in a reused slot, and the writer reuses
+// its reply buffer, so they must stay out of the count.
 // The ceilings carry one allocation of slack over the go1.24 counts (9
 // and 8) for escape-analysis differences between toolchains.
 func TestBinaryQueryAllocs(t *testing.T) {

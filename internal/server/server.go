@@ -389,10 +389,10 @@ type submitter interface {
 }
 
 // wireScratch holds reusable submission state: the kernel-typed slices
-// a wire.Query converts into. A binary connection keeps one and reuses
-// it frame to frame — safe because a connection serves serially and
-// the engine releases its view of a request's inputs when the batch
-// retires.
+// a wire.Query converts into. Each slot of a binary connection keeps
+// one and reuses it query to query — safe because a slot serves one
+// query at a time and the engine releases its view of a request's
+// inputs when the batch retires.
 type wireScratch struct {
 	queries []lca.Query
 	edges   []mincut.Edge

@@ -29,8 +29,9 @@ type DialOptions struct {
 	// DialTimeout bounds the TCP connect (0 means DefaultDialTimeout).
 	DialTimeout time.Duration
 	// ReadTimeout bounds each call's wait for its response; on expiry
-	// the connection is failed (responses are pipelined, so a lost
-	// response means every later one is late too). 0 waits forever.
+	// the connection is failed, with every call pending on it.
+	// Responses arrive in completion order, not request order, so the
+	// bound is per call. 0 waits forever.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each request frame write (0 means none).
 	WriteTimeout time.Duration
@@ -152,9 +153,8 @@ func (c *Client) call(enc func(dst []byte, id uint64) []byte) (any, error) {
 }
 
 // wait blocks for the response, bounded by ReadTimeout. Expiry fails
-// the whole connection: responses arrive in request order, so a
-// response that has not arrived in time holds every later one behind
-// it.
+// the whole connection and every call pending on it: the client treats
+// a connection that left a call unanswered that long as stuck.
 func (c *Client) wait(ch chan response) response {
 	if c.opts.ReadTimeout <= 0 {
 		return <-ch
