@@ -361,18 +361,30 @@ func BenchmarkE13EngineThroughput(b *testing.B) {
 	})
 }
 
+// mutTree is the mutation surface shared by *dynlayout.Dyn and
+// *engine.DynEngine, so both E14 arms run one churn schedule.
+type mutTree interface {
+	N() int
+	IsLeaf(v int) bool
+	InsertLeaf(parent int) (int, error)
+	DeleteLeaf(v int) (int, error)
+}
+
 // churnMutation applies step m of the deterministic churn schedule:
-// two inserts (under a random original vertex) per delete (of the
-// youngest inserted leaf — never an original id, so query ids stay
-// valid; see dynlayout.DeleteYoungestLeaf).
-func churnMutation(b *testing.B, mt dynlayout.MutTree, r *rng.RNG, m, origN int) {
+// two inserts (under a random original vertex) per delete. The delete
+// removes the youngest inserted leaf, the highest-id leaf at or above
+// origN: DeleteLeaf's swap-last renumbering then never touches an
+// original id, so query ids stay valid for the whole run. With no
+// inserted leaf left, the step inserts instead.
+func churnMutation(b *testing.B, mt mutTree, r *rng.RNG, m, origN int) {
 	if m%3 == 2 {
-		ok, err := dynlayout.DeleteYoungestLeaf(mt, origN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ok {
-			return
+		for v := mt.N() - 1; v >= origN; v-- {
+			if mt.IsLeaf(v) {
+				if _, err := mt.DeleteLeaf(v); err != nil {
+					b.Fatal(err)
+				}
+				return
+			}
 		}
 	}
 	if _, err := mt.InsertLeaf(r.Intn(origN)); err != nil {
@@ -781,18 +793,6 @@ func e15Mutate(b *testing.B, de *engine.DynEngine, n, mutations int) {
 	}
 }
 
-// e15DynSnapshot converts an engine state capture into the store's
-// snapshot form (the conversion internal/server performs when it
-// creates a shard log).
-func e15DynSnapshot(st engine.DynState) persist.DynSnapshot {
-	return persist.DynSnapshot{
-		Parents: st.Parents, Curve: st.Curve, Side: st.Side, Ranks: st.Ranks,
-		Epsilon: st.Epsilon, Epoch: st.Epoch, Drift: st.Drift,
-		Inserts: st.Inserts, Deletes: st.Deletes, Rebuilds: st.Rebuilds,
-		ParkEnergy: st.ParkEnergy, MigrateEnergy: st.MigrateEnergy,
-	}
-}
-
 // BenchmarkE15Recovery measures the durability subsystem's warm-start
 // against what a store-less deployment must redo after a restart. The
 // fixture is a serving state of 4 registered trees (n=2^14 each) plus
@@ -837,7 +837,7 @@ func BenchmarkE15Recovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shardLog, err := store.CreateShardLog("d1", e15DynSnapshot(de.State()))
+	shardLog, err := store.CreateShardLog("d1", server.DynSnapshotFromState(de.State()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -891,23 +891,24 @@ func BenchmarkE15Recovery(b *testing.B) {
 	})
 }
 
-// BenchmarkE18SelfTune gates the self-tuning loop (internal/tune): a
-// sim-backend mutable shard seeded on the known-bad scatter curve
-// serves a skewed, LCA-heavy workload on a deep tree. The untuned arm
-// stays where it was seeded; the tuned arm lets the online tuner
-// profile the workload and republish through the shard's epoch
-// machinery — first onto a distance-bound curve (a model-energy win,
-// verified against the shard's own shadow-metered samples), then, once
-// that win is confirmed, off the simulator onto the native backend (a
-// wall-clock win). Both stages run to convergence before the timed
-// section. The claim under gate: tuned steady-state throughput is at
-// least 1.3x the untuned arm — the tuner must recover, online and from
-// sampled cost alone, what a human operator would have configured.
+// BenchmarkE18SelfTune gates the self-tuning loop (internal/tune) in
+// the domain it moves: model energy. A sim-backend mutable shard seeded
+// on the known-bad scatter curve serves a skewed, LCA-heavy workload on
+// a deep tree. The untuned arm stays where it was seeded; the tuned arm
+// lets the online tuner profile the workload and republish the layout
+// through the shard's epoch machinery until its realized-win check
+// records a hit, before the timed section. Both arms serve on the sim
+// backend (the sim/native gap is E16's gate) and report energy/query,
+// the model energy each LCA query cost. The claim under gate: the tuned
+// shard spends at most a quarter of the energy per query the
+// scatter-seeded shard did — the tuner must recover, online and from
+// sampled cost alone, the layout a human operator would have picked.
 func BenchmarkE18SelfTune(b *testing.B) {
 	const (
 		tuneN      = 1 << 11
 		queriesPer = 256
 		batchesPer = 4
+		maxRatio   = 0.25
 	)
 	deep := tree.Path(tuneN)
 	qr := rng.New(95)
@@ -929,56 +930,66 @@ func BenchmarkE18SelfTune(b *testing.B) {
 		}
 		return de
 	}
-	serve := func(b *testing.B, de *engine.DynEngine, rounds int) int {
-		total := 0
+	// serve runs rounds × batchesPer LCA batches and returns the queries
+	// served and the model energy they cost.
+	serve := func(b *testing.B, de *engine.DynEngine, rounds int) (queries int, energy int64) {
 		for r := 0; r < rounds; r++ {
 			for bi := 0; bi < batchesPer; bi++ {
-				if res := de.SubmitLCA(qsets[(r*batchesPer+bi)%len(qsets)]).Wait(); res.Err != nil {
+				res := de.SubmitLCA(qsets[(r*batchesPer+bi)%len(qsets)]).Wait()
+				if res.Err != nil {
 					b.Fatal(res.Err)
 				}
-				total += queriesPer
+				queries += queriesPer
+				energy += res.Cost.Energy
 			}
 		}
-		return total
+		return queries, energy
+	}
+	// timed serves b.N rounds and reports queries/s and energy/query.
+	timed := func(b *testing.B, de *engine.DynEngine) float64 {
+		b.ResetTimer()
+		var total int
+		var energy int64
+		for i := 0; i < b.N; i++ {
+			q, e := serve(b, de, 1)
+			total += q
+			energy += e
+		}
+		b.StopTimer()
+		perQuery := float64(energy) / float64(total)
+		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "queries/s")
+		b.ReportMetric(perQuery, "energy/query")
+		return perQuery
 	}
 
 	b.Run("untuned", func(b *testing.B) {
 		de := newShard(b)
 		serve(b, de, 2) // same warm-up as the tuned arm, minus the tuner
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			total += serve(b, de, 1)
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "queries/s")
+		timed(b, de)
 	})
 
 	b.Run("tuned", func(b *testing.B) {
 		de := newShard(b)
-		tu := tune.New(tune.Config{MinSamples: 4, Backends: true})
+		q, e := serve(b, de, 2) // warm-up on the seeded scatter layout
+		seeded := float64(e) / float64(q)
+		tu := tune.New(tune.Config{MinSamples: 4})
 		tu.Adopt("e18", de)
 		// Convergence phase, untimed: profile real batches and tick until
-		// the tuner has republished the curve, confirmed the realized
-		// energy win, and switched the shard off the simulator. Each serve
-		// round feeds MinSamples batches, so every tick can make progress.
-		for round := 0; round < 16 && exec.Normalize(de.LayoutConfig().Backend) != exec.Native; round++ {
+		// the tuner has republished the layout and its realized-win check
+		// has confirmed the energy win. Each serve round feeds MinSamples
+		// batches, so every tick can make progress.
+		for round := 0; round < 16 && tu.Metrics().Hits == 0; round++ {
 			serve(b, de, 1)
 			tu.Tick()
 		}
-		if de.Stats().Retunes == 0 {
-			b.Fatal("tuner never republished the scatter-seeded shard")
-		}
-		if got := exec.Normalize(de.LayoutConfig().Backend); got != exec.Native {
-			b.Fatalf("tuner never converged to the native backend (still %q after retunes)", got)
+		if m := tu.Metrics(); m.Hits == 0 {
+			b.Fatalf("tuner never confirmed a realized win (republishes=%d misses=%d)", m.Republishes, m.Misses)
 		}
 		serve(b, de, 1) // settle onto the tuned layout
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			total += serve(b, de, 1)
-		}
-		b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "queries/s")
-		b.StopTimer()
+		perQuery := timed(b, de)
 		tu.Release("e18")
+		if perQuery > maxRatio*seeded {
+			b.Fatalf("tuned energy/query %.0f > %.2f × the scatter-seeded shard's %.0f", perQuery, maxRatio, seeded)
+		}
 	})
 }

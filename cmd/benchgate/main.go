@@ -4,7 +4,8 @@
 // self-tuning) several times, emits a machine-readable artifact
 // (BENCH_10.json — see docs/bench.md for the schema), and fails when
 // wall-clock ns/op regresses beyond a tolerance against a checked-in
-// baseline.
+// baseline, or when a ratio floor between two arms of the same run is
+// missed (bench_floors.json, next to the baseline).
 //
 // The gate compares the MINIMUM ns/op across -count runs: the minimum
 // is the least noisy estimator of a benchmark's true cost on a shared
@@ -17,8 +18,9 @@
 //	benchgate -count 5 -tolerance 0.25
 //	benchgate -write-baseline                  # refresh testdata/bench_baseline.json
 //
-// Exit status: 0 when every baselined benchmark is within tolerance,
-// 1 on regression or a benchmark missing from the run.
+// Exit status: 0 when every baselined benchmark is within tolerance and
+// every floor holds, 1 on regression, a missed floor or a benchmark
+// missing from the run.
 package main
 
 import (
@@ -27,8 +29,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -58,6 +62,26 @@ type Bench struct {
 	Allocs int64 `json:"allocs_per_op"`
 	// Runs is how many parsed lines contributed.
 	Runs int `json:"runs"`
+}
+
+// Floors is the ratio-floor file (docs/bench.md): bounds between two
+// arms measured in the same run, so they need no hardware calibration.
+type Floors struct {
+	Floors []Floor `json:"floors"`
+}
+
+// Floor bounds metric(Num)/metric(Den) within one run.
+type Floor struct {
+	// Name labels the floor in verdict lines.
+	Name string `json:"name"`
+	// Metric is "ns_per_op" or "allocs_per_op".
+	Metric string `json:"metric"`
+	// Num and Den are benchmark ops as in Bench.Op.
+	Num string `json:"num"`
+	Den string `json:"den"`
+	// Min and Max bound the ratio; zero leaves that side open.
+	Min float64 `json:"min,omitempty"`
+	Max float64 `json:"max,omitempty"`
 }
 
 var (
@@ -109,7 +133,12 @@ func main() {
 	if err != nil {
 		fatal(fmt.Errorf("baseline: %w (run benchgate -write-baseline to create it)", err))
 	}
-	if failed := gate(os.Stdout, base, doc, *tolerance, *calibrate); failed {
+	fl, err := readFloors(filepath.Join(filepath.Dir(*baseline), "bench_floors.json"))
+	if err != nil {
+		fatal(fmt.Errorf("floors: %w", err))
+	}
+	failed := gate(os.Stdout, base, doc, *tolerance, *calibrate)
+	if checkFloors(os.Stdout, fl, doc) || failed {
 		os.Exit(1)
 	}
 }
@@ -202,7 +231,7 @@ func parse(raw []byte, count int) (Doc, error) {
 // per-call arm, which exercises the same kernels and hardware but none
 // of the serving-path code a PR is likely to regress. The anchor
 // itself trivially gates at ±0%.
-func gate(w *os.File, base, measured Doc, tol float64, calibrateOp string) (failed bool) {
+func gate(w io.Writer, base, measured Doc, tol float64, calibrateOp string) (failed bool) {
 	got := map[string]Bench{}
 	for _, b := range measured.Benchmarks {
 		got[b.Op] = b
@@ -258,6 +287,67 @@ func gate(w *os.File, base, measured Doc, tol float64, calibrateOp string) (fail
 		fmt.Fprintln(w, "benchgate: ns/op regression beyond tolerance")
 	}
 	return failed
+}
+
+// checkFloors checks every floor against the ratio of its two arms in
+// measured and reports a verdict line per floor; it returns true when a
+// floor is missed or names an op the run lacks.
+func checkFloors(w io.Writer, fl Floors, measured Doc) (failed bool) {
+	got := map[string]Bench{}
+	for _, b := range measured.Benchmarks {
+		got[b.Op] = b
+	}
+	for _, f := range fl.Floors {
+		num, okN := got[f.Num]
+		den, okD := got[f.Den]
+		if !okN || !okD {
+			fmt.Fprintf(w, "FAIL floor %q: %s or %s missing from this run\n", f.Name, f.Num, f.Den)
+			failed = true
+			continue
+		}
+		n, okM := num.metric(f.Metric)
+		d, _ := den.metric(f.Metric)
+		if !okM || d <= 0 {
+			fmt.Fprintf(w, "FAIL floor %q: cannot form a %q ratio\n", f.Name, f.Metric)
+			failed = true
+			continue
+		}
+		ratio := n / d
+		verdict := "ok  "
+		if (f.Min > 0 && ratio < f.Min) || (f.Max > 0 && ratio > f.Max) {
+			verdict = "FAIL"
+			failed = true
+		}
+		fmt.Fprintf(w, "%s floor %q: %s ratio %.3g (min %g, max %g; 0 = open)\n",
+			verdict, f.Name, f.Metric, ratio, f.Min, f.Max)
+	}
+	if failed {
+		fmt.Fprintln(w, "benchgate: ratio floor missed")
+	}
+	return failed
+}
+
+// metric returns the named Bench field as a float.
+func (b Bench) metric(name string) (float64, bool) {
+	switch name {
+	case "ns_per_op":
+		return b.Ns, true
+	case "allocs_per_op":
+		return float64(b.Allocs), true
+	}
+	return 0, false
+}
+
+func readFloors(path string) (Floors, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return Floors{}, err
+	}
+	var f Floors
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return Floors{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return f, nil
 }
 
 func readDoc(path string) (Doc, error) {

@@ -36,10 +36,11 @@
 //	spatialtreed -backend sim -tune           # self-tuning shard layouts
 //
 // With -tune, an online tuner (internal/tune) profiles every mutable
-// shard's workload and periodically scores candidate layouts — curve ×
-// rebuild threshold ε — against the shard's own sampled cost,
-// republishing the winner through the shard's epoch machinery when the
-// projected win beats -tune-threshold; a republish whose measured win
+// sim shard's workload and periodically scores candidate layouts —
+// curve × rebuild threshold ε — against the shard's own sampled model
+// energy (native shards are left alone: their kernels never read the
+// placement), republishing the winner through the shard's epoch
+// machinery when the projected win beats -tune-threshold; a republish whose measured win
 // misses its projection backs the shard off geometrically, so layouts
 // converge instead of thrashing. GET /v1/dyn/{id} and the /metrics
 // tuner block expose per-shard and aggregate tuner state.

@@ -60,7 +60,8 @@ func (n *Node) ApplySnapshot(id string, blob []byte) (uint64, uint8, string) {
 	if _, served := n.srv.DynShard(id); served {
 		// Both sides believe they own the shard — conflicting liveness
 		// views. Refusing keeps this node's served copy authoritative
-		// here; see docs/cluster.md on static-membership split-brain.
+		// here; see "Network partitions" under Limitations in
+		// docs/cluster.md.
 		return 0, wire.AckRefused, "shard " + id + " is served here (conflicting ownership views)"
 	}
 	snap, err := persist.DecodeDyn(blob)

@@ -371,13 +371,13 @@ func (de *DynEngine) DeleteLeaf(v int) (moved int, err error) {
 
 // RetuneSpec names a shard layout configuration for Retune. A zero
 // field keeps the shard's current value, so partial retunes compose.
+// The execution backend is not part of it: a shard's backend is fixed
+// when the shard is created (see Backend).
 type RetuneSpec struct {
 	// Curve names the space-filling curve ("" = keep).
 	Curve string
 	// Epsilon is the dynamic layout's rebuild threshold (<= 0 = keep).
 	Epsilon float64
-	// Backend names the execution backend ("" = keep).
-	Backend string
 }
 
 // Retune republishes the shard on a new layout configuration: it drains
@@ -390,9 +390,8 @@ type RetuneSpec struct {
 // count applied mutations and must stay consecutive for WAL replay and
 // record shipping, and a retune changes geometry, never the tree. The
 // tuned curve and epsilon are part of DynState, so the next snapshot
-// makes the choice durable; the backend remains non-durable
-// configuration, as everywhere else. A spec that changes nothing
-// returns immediately without draining.
+// makes the choice durable. A spec that changes nothing returns
+// immediately without draining.
 //
 // Retune holds only the shard's own mutation lock; callers driving it
 // from a tuning loop must not hold any lock of their own across the
@@ -412,14 +411,7 @@ func (de *DynEngine) Retune(spec RetuneSpec) error {
 	if spec.Epsilon > 0 {
 		eps = spec.Epsilon
 	}
-	backend := exec.Normalize(de.opts.Backend)
-	if spec.Backend != "" {
-		if !exec.Valid(spec.Backend) {
-			return fmt.Errorf("engine: unknown backend %q", spec.Backend)
-		}
-		backend = exec.Normalize(spec.Backend)
-	}
-	if c.Name() == de.curve.Name() && eps == de.dyn.Epsilon() && backend == exec.Normalize(de.opts.Backend) {
+	if c.Name() == de.curve.Name() && eps == de.dyn.Epsilon() {
 		return nil
 	}
 	//spatialvet:ignore waitunderlock -- the republish barrier IS the design: in-flight batches must drain before the layout migrates, and Quiesce never takes de.mu
@@ -429,7 +421,6 @@ func (de *DynEngine) Retune(spec RetuneSpec) error {
 	}
 	de.curve = c
 	de.opts.Curve = c.Name()
-	de.opts.Backend = backend
 	de.dirty = true
 	if err := de.refreshLocked(); err != nil {
 		return err
@@ -443,11 +434,7 @@ func (de *DynEngine) Retune(spec RetuneSpec) error {
 func (de *DynEngine) LayoutConfig() RetuneSpec {
 	de.mu.Lock()
 	defer de.mu.Unlock()
-	return RetuneSpec{
-		Curve:   de.curve.Name(),
-		Epsilon: de.dyn.Epsilon(),
-		Backend: exec.Normalize(de.opts.Backend),
-	}
+	return RetuneSpec{Curve: de.curve.Name(), Epsilon: de.dyn.Epsilon()}
 }
 
 // ErrReplicaGap reports a shipped record whose epoch does not follow
@@ -525,11 +512,13 @@ func (de *DynEngine) N() int {
 	return de.dyn.N()
 }
 
-// Backend returns the shard's resolved execution-backend name. Every
-// epoch's inner engine runs on it: the backend's per-tree preprocessing
-// (Euler tour positions, lazily the LCA table) is rebuilt at each
-// serving-state refresh, an O(n)-to-O(n log n) cost of the same class
-// as the placement refresh it rides along with.
+// Backend returns the shard's resolved execution-backend name. It is
+// fixed when the shard is created (Retune moves only the layout), so
+// reading it needs no lock. Every epoch's inner engine runs on it: the
+// backend's per-tree preprocessing (Euler tour positions, lazily the
+// LCA table) is rebuilt at each serving-state refresh, an O(n)-to-
+// O(n log n) cost of the same class as the placement refresh it rides
+// along with.
 func (de *DynEngine) Backend() string { return exec.Normalize(de.opts.Backend) }
 
 // Epoch returns the number of mutations applied so far; it versions the

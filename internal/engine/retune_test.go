@@ -12,7 +12,7 @@ import (
 )
 
 // TestDynRetune asserts the tuner-facing republish path: a retune
-// switches curve/ε/backend, republishes through the epoch machinery
+// switches curve/ε, republishes through the epoch machinery
 // WITHOUT advancing the epoch (epochs count mutations — the WAL and
 // replication contracts depend on them staying consecutive), and the
 // retuned shard keeps serving correct results.
@@ -27,8 +27,8 @@ func TestDynRetune(t *testing.T) {
 		mutate(t, de, r)
 	}
 	epoch := de.Epoch()
-	if got := de.LayoutConfig(); got.Curve != "hilbert" || got.Epsilon != 0.2 || got.Backend != exec.Sim {
-		t.Fatalf("pre-retune LayoutConfig = %+v", got)
+	if got := de.LayoutConfig(); got.Curve != "hilbert" || got.Epsilon != 0.2 || de.Backend() != exec.Sim {
+		t.Fatalf("pre-retune LayoutConfig = %+v on %q", got, de.Backend())
 	}
 
 	if err := de.Retune(RetuneSpec{Curve: "zorder", Epsilon: 0.35}); err != nil {
@@ -106,28 +106,8 @@ func TestDynRetuneNoopAndErrors(t *testing.T) {
 	if err := de.Retune(RetuneSpec{Curve: "no-such-curve"}); err == nil {
 		t.Fatal("unknown curve accepted")
 	}
-	if err := de.Retune(RetuneSpec{Backend: "no-such-backend"}); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
 	if got := de.LayoutConfig(); got.Curve != "hilbert" {
 		t.Fatalf("failed retunes mutated the config: %+v", got)
-	}
-}
-
-func TestDynRetuneBackendSwitch(t *testing.T) {
-	de, err := NewDyn(tree.RandomAttachment(60, rng.New(5)), DynOptions{Options: Options{Backend: exec.Sim}, Epsilon: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := de.Retune(RetuneSpec{Backend: exec.Native}); err != nil {
-		t.Fatal(err)
-	}
-	if de.Backend() != exec.Native {
-		t.Fatalf("backend = %q after retune, want native", de.Backend())
-	}
-	vals := make([]int64, de.N())
-	if res := de.SubmitTreefix(vals, treefix.Add).Wait(); res.Err != nil {
-		t.Fatalf("serving after backend retune: %v", res.Err)
 	}
 }
 

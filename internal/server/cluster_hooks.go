@@ -344,20 +344,7 @@ func (s *Server) SnapshotDyn(id string) (blob []byte, epoch uint64, err error) {
 		return nil, 0, statusErrf(StatusNotFound, "unknown shard_id %s", id)
 	}
 	st := de.State()
-	return persist.EncodeDyn(dynSnapFromState(st)), st.Epoch, nil
-}
-
-// DynStateFromSnapshot converts a decoded persist snapshot into the
-// engine's restore state. Exported for the cluster tier's replica
-// apply; the inverse is DynSnapshotFromState.
-func DynStateFromSnapshot(snap persist.DynSnapshot) engine.DynState {
-	return dynStateFromSnap(snap)
-}
-
-// DynSnapshotFromState converts an engine state capture into the
-// persist codec's snapshot type.
-func DynSnapshotFromState(st engine.DynState) persist.DynSnapshot {
-	return dynSnapFromState(st)
+	return persist.EncodeDyn(DynSnapshotFromState(st)), st.Epoch, nil
 }
 
 // ClusterConfig returns the resolved cluster configuration block.

@@ -131,11 +131,12 @@ type Cluster struct {
 func (c Cluster) Enabled() bool { return len(c.Peers) > 0 }
 
 // Tuning configures the online per-shard layout tuner (internal/tune):
-// a background loop that profiles each mutable shard's workload (kernel
-// mix, batch sizes, sampled shadow cost) and republishes its layout —
-// curve × rebuild threshold ε, optionally the execution backend — when
-// a candidate configuration projects a win beyond the hysteresis
-// threshold. A zero Tuning leaves the tuner off.
+// a background loop that profiles each mutable sim shard's workload
+// (kernel mix, batch sizes, sampled model energy) and republishes its
+// layout — curve × rebuild threshold ε — when a candidate projects an
+// energy win beyond the hysteresis threshold. A shard's execution
+// backend is fixed at creation and never tuned; native shards are left
+// alone. A zero Tuning leaves the tuner off.
 type Tuning struct {
 	// Enabled arms the tuning loop over the server's dyn shards.
 	Enabled bool
@@ -146,9 +147,6 @@ type Tuning struct {
 	// fractional win (e.g. 0.15 = 15%) before the tuner republishes a
 	// shard's layout (0 means tune.DefaultThreshold).
 	Threshold float64
-	// Backends additionally lets the tuner switch a shard's execution
-	// backend (sim ↔ native), not just its layout.
-	Backends bool
 }
 
 // Config configures a Server. The zero value serves with stock tuning:

@@ -118,7 +118,7 @@ func (s *Server) recoverDynShard(id string) (replayed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	de, err := s.pool.RestoreDynShard(dynStateFromSnap(snap))
+	de, err := s.pool.RestoreDynShard(DynStateFromSnapshot(snap))
 	if err != nil {
 		return 0, err
 	}
@@ -142,7 +142,7 @@ func (s *Server) recoverDynShard(id string) (replayed int, err error) {
 		// runtime one in maybeCompact: a shard that recovered cleanly
 		// must not fail the whole boot because folding its long-but-
 		// valid log into a snapshot did not succeed.
-		_ = log.Compact(dynSnapFromState(de.State()))
+		_ = log.Compact(DynSnapshotFromState(de.State()))
 	}
 	// A recovered shard rejoins the tuning loop; its snapshot already
 	// carries any tuned curve/ε, so it warm-starts tuned and the tuner
@@ -196,7 +196,7 @@ func (s *Server) persistDynCreate(id string, de *engine.DynEngine) error {
 	if s.cfg.Durability.Store == nil {
 		return nil
 	}
-	log, err := s.cfg.Durability.Store.CreateShardLog(id, dynSnapFromState(de.State()))
+	log, err := s.cfg.Durability.Store.CreateShardLog(id, DynSnapshotFromState(de.State()))
 	if err != nil {
 		return err
 	}
@@ -217,7 +217,7 @@ func (s *Server) maybeCompact(id string, de *engine.DynEngine) {
 	if log == nil || !log.NeedsCompact() {
 		return
 	}
-	_ = log.Compact(dynSnapFromState(de.State()))
+	_ = log.Compact(DynSnapshotFromState(de.State()))
 }
 
 // repairJournal restores a shard's durability after a failed append:
@@ -238,7 +238,7 @@ func (s *Server) repairJournal(id string, de *engine.DynEngine) {
 	if log.LastEpoch() >= st.Epoch {
 		return // log is not behind; nothing to repair
 	}
-	_ = log.Compact(dynSnapFromState(st))
+	_ = log.Compact(DynSnapshotFromState(st))
 }
 
 // persistTree saves a registered tree's placement snapshot.
@@ -267,7 +267,10 @@ func persistRecord(rec engine.MutationRecord) persist.Record {
 	return r
 }
 
-func dynSnapFromState(st engine.DynState) persist.DynSnapshot {
+// DynSnapshotFromState converts an engine state capture into the
+// persist codec's snapshot type: what a shard log, a replication
+// snapshot and a handback carry. DynStateFromSnapshot is its inverse.
+func DynSnapshotFromState(st engine.DynState) persist.DynSnapshot {
 	return persist.DynSnapshot{
 		Parents:       st.Parents,
 		Curve:         st.Curve,
@@ -284,7 +287,9 @@ func dynSnapFromState(st engine.DynState) persist.DynSnapshot {
 	}
 }
 
-func dynStateFromSnap(snap persist.DynSnapshot) engine.DynState {
+// DynStateFromSnapshot converts a decoded persist snapshot into the
+// engine's restore state (engine.RestoreDyn).
+func DynStateFromSnapshot(snap persist.DynSnapshot) engine.DynState {
 	return engine.DynState{
 		Parents:       snap.Parents,
 		Ranks:         snap.Ranks,

@@ -147,7 +147,6 @@ func New(cfg Config) *Server {
 	if cfg.Tuning.Enabled {
 		s.tuner = tune.New(tune.Config{
 			Threshold:   cfg.Tuning.Threshold,
-			Backends:    cfg.Tuning.Backends,
 			OnRepublish: s.persistRetune,
 		})
 		s.tuner.Start(cfg.Tuning.Interval)
@@ -779,7 +778,7 @@ func (s *Server) handleDynStatus(w http.ResponseWriter, r *http.Request) {
 		ID:      id,
 		N:       de.N(),
 		Epoch:   ds.Epoch,
-		Backend: spec.Backend,
+		Backend: de.Backend(),
 		Curve:   spec.Curve,
 		Epsilon: spec.Epsilon,
 		Retunes: ds.Retunes,
@@ -796,8 +795,7 @@ func (s *Server) handleDynStatus(w http.ResponseWriter, r *http.Request) {
 // are already part of the shard's durable state (engine.DynState), so a
 // compaction right after the republish folds them into the snapshot and
 // the next boot warm-starts on the tuned layout instead of replaying to
-// the untuned one. Best-effort like maybeCompact; the backend stays a
-// serving-time knob and is not persisted.
+// the untuned one. Best-effort like maybeCompact.
 func (s *Server) persistRetune(id string, _ engine.RetuneSpec) {
 	s.mu.Lock()
 	de := s.dyns[id]
@@ -806,7 +804,7 @@ func (s *Server) persistRetune(id string, _ engine.RetuneSpec) {
 	if de == nil || log == nil {
 		return
 	}
-	_ = log.Compact(dynSnapFromState(de.State()))
+	_ = log.Compact(DynSnapshotFromState(de.State()))
 }
 
 // Metrics snapshots every layer's counters (also served as /metrics).

@@ -1,35 +1,36 @@
 // Package tune closes the loop on shadow metering: it folds the
 // engine's per-batch profiles (internal/engine.BatchProfile) into
-// per-shard workload profiles and periodically re-picks each shard's
-// layout configuration — space-filling curve × rebuild threshold ε,
-// and sim-vs-native execution backend — republishing the winner through
-// DynEngine.Retune when the projected win beats a hysteresis threshold.
+// per-shard workload profiles and periodically re-picks each sim
+// shard's layout — space-filling curve × rebuild threshold ε —
+// republishing the winner through DynEngine.Retune when the projected
+// win beats a hysteresis threshold.
 //
-// The paper's central result is that the layout choice swings model
-// energy by large constant factors; since PR 5 the shadow meter samples
-// each shard's true model cost, and this package is the consumer that
-// was missing. Candidate layouts are scored with the sfc.Measure*
-// predictors (distance-bound constant × alignment factor, probed on a
-// small fixed grid) calibrated against the shard's own sampled cost:
-// the predictors supply only *ratios* between curves, and the shard's
-// EWMA of sampled energy and wall-clock per request anchors them to
-// reality. The vertex order is not a search axis: dynlayout maintains
-// light-first placements exclusively (the order the paper's bounds are
-// proven for), so the tuner's space is curve × ε × backend.
+// The paper's cost is energy, and its central result is that the
+// layout choice swings model energy by large constant factors; the
+// engine's meter samples each shard's true model cost, and this
+// package is its consumer. Candidate layouts are
+// scored with the sfc.Measure* predictors (distance-bound constant ×
+// alignment factor, probed on a small fixed grid) calibrated against
+// the shard's own sampled energy: the predictors supply only *ratios*
+// between curves, and the shard's EWMA of sampled energy per request
+// anchors them to reality. The vertex order is not a search axis:
+// dynlayout maintains light-first placements exclusively (the order
+// the paper's bounds are proven for), so the tuner's space is
+// curve × ε. The execution backend is configuration, not a tuning axis:
+// it is fixed when a shard is created, and native shards are never
+// scored, because native kernels do not read the placement.
 //
 // Republishes are guarded two ways against thrash. First, hysteresis: a
 // candidate must project at least Config.Threshold fractional win over
 // the current configuration, so flipping back immediately after a
 // switch can never look profitable. Second, backoff: after each
-// republish the tuner measures the realized win over the next
-// MinSamples batches — in the domain the candidate's claim lives in:
-// layout republishes against sampled model energy per request (the
-// quantity placement actually moves), backend switches against
-// wall-clock per request — and a republish whose realized win misses
-// half its projection doubles a per-shard cooldown that suppresses further
-// republishes — under an adversarially alternating workload the
-// cooldown grows geometrically and total republishes stay logarithmic
-// in elapsed ticks (see the hysteresis property test).
+// republish the tuner measures the realized win in sampled model
+// energy per request over the next MinSamples metered batches, and a
+// republish whose realized win misses half its projection doubles a
+// per-shard cooldown that suppresses further republishes — under an
+// adversarially alternating workload the cooldown grows geometrically
+// and total republishes stay logarithmic in elapsed ticks (see the
+// hysteresis property test).
 package tune
 
 import (

@@ -23,11 +23,6 @@ const (
 	DefaultMinSamples = 8
 	// DefaultEWMAAlpha is the profile's cost-average smoothing factor.
 	DefaultEWMAAlpha = 0.25
-	// DefaultNativeSpeedup is the prior wall-clock ratio between the
-	// native and sim backends used to project backend switches (the
-	// E16 benchmark gates native at >= 5x sim and measures >10x; the
-	// realized-win check corrects an optimistic prior via backoff).
-	DefaultNativeSpeedup = 8
 	// missFraction: a republish whose realized win is below this
 	// fraction of its projection counts as a miss and doubles the
 	// shard's cooldown.
@@ -54,7 +49,7 @@ func DefaultCurves() []string { return []string{"hilbert", "moore", "peano", "zo
 func DefaultEpsilons() []float64 { return []float64{0.1, 0.2, 0.4} }
 
 // Config configures a Tuner. The zero value resolves to the defaults
-// above with backend tuning off.
+// above.
 type Config struct {
 	// Threshold is the hysteresis threshold (<= 0 means
 	// DefaultThreshold): minimum projected fractional win to republish.
@@ -68,12 +63,6 @@ type Config struct {
 	// DefaultCurves/DefaultEpsilons).
 	Curves   []string
 	Epsilons []float64
-	// Backends additionally considers switching a sim shard to the
-	// native backend (and vice versa), projected through NativeSpeedup.
-	Backends bool
-	// NativeSpeedup is the prior wall-clock ratio for backend-switch
-	// projections (<= 1 means DefaultNativeSpeedup).
-	NativeSpeedup float64
 	// OnRepublish, when non-nil, is invoked after every successful
 	// republish, outside all tuner locks — the server uses it to
 	// compact the shard's snapshot so the tuned choice survives
@@ -97,9 +86,6 @@ func (c Config) resolved() Config {
 	if c.Epsilons == nil {
 		c.Epsilons = DefaultEpsilons()
 	}
-	if c.NativeSpeedup <= 1 {
-		c.NativeSpeedup = DefaultNativeSpeedup
-	}
 	return c
 }
 
@@ -107,8 +93,12 @@ func (c Config) resolved() Config {
 // implements it. The indirection keeps the hysteresis and backoff logic
 // testable against scripted fakes.
 type Target interface {
-	// LayoutConfig reports the current curve/epsilon/backend.
+	// LayoutConfig reports the current curve/epsilon.
 	LayoutConfig() engine.RetuneSpec
+	// Backend names the shard's execution backend, fixed at creation.
+	// Only sim shards are tuned: native kernels never read the
+	// placement, so no layout can move their cost.
+	Backend() string
 	// Retune republishes the shard on a new configuration behind the
 	// engine's own Quiesce barrier. The tuner NEVER holds any of its
 	// locks across this call: Retune drains in-flight batches, and a
@@ -122,17 +112,12 @@ type Target interface {
 }
 
 // pendingEval is the realized-win check armed by a republish. The
-// check measures the same quantity the projection promised: a layout
-// republish (curve/ε, backend unchanged) is verified against the
-// shard's sampled model energy per request — wall-clock cannot see a
-// placement change on either backend, the meter can — while a backend
-// switch is verified against wall-clock per request, which is exactly
-// what it claims to move.
+// check measures the quantity the projection promised: the shard's
+// sampled model energy per request.
 type pendingEval struct {
-	baseline  float64 // pre-republish EWMA in the check's domain
+	baseline  float64 // pre-republish energy/request EWMA
 	projected float64 // projected fractional win
-	batchesAt uint64  // profile batch count at republish
-	energy    bool    // check energy/request instead of ns/request
+	meteredAt uint64  // profile metered-batch count at republish
 }
 
 // shardState is the tuner's per-shard bookkeeping; all fields are
@@ -238,7 +223,7 @@ func (t *Tuner) Stop() {
 	}
 }
 
-// Tick runs one tuning round over every adopted shard: resolve pending
+// Tick runs one tuning round over every adopted sim shard: resolve pending
 // realized-win checks, score candidates, and republish winners beating
 // the hysteresis threshold. Republishes happen outside every tuner lock
 // — Retune quiesces the shard, and holding a tuner lock across that
@@ -246,12 +231,11 @@ func (t *Tuner) Stop() {
 // shard's in-flight batches.
 func (t *Tuner) Tick() {
 	type planned struct {
-		id     string
-		st     *shardState
-		spec   engine.RetuneSpec
-		win    float64
-		base   float64
-		energy bool
+		id   string
+		st   *shardState
+		spec engine.RetuneSpec
+		win  float64
+		base float64
 	}
 	t.mu.Lock()
 	t.ticks++
@@ -263,17 +247,17 @@ func (t *Tuner) Tick() {
 
 	var plans []planned
 	for id, st := range snapshot {
+		if exec.Normalize(st.target.Backend()) != exec.Sim {
+			continue // native kernels never read the placement
+		}
 		prof := st.prof.Snapshot()
 		cur := st.target.LayoutConfig()
 		stats := st.target.Stats()
 
 		t.mu.Lock()
-		metric := prof.NsPerRequest
-		if st.pending != nil && st.pending.energy {
-			metric = prof.EnergyPerRequest
-		}
-		if st.pending != nil && prof.Batches >= st.pending.batchesAt+t.cfg.MinSamples && metric > 0 {
-			realized := 1 - metric/st.pending.baseline
+		energy := prof.EnergyPerRequest
+		if st.pending != nil && prof.Metered >= st.pending.meteredAt+t.cfg.MinSamples && energy > 0 {
+			realized := 1 - energy/st.pending.baseline
 			st.lastRealized = realized
 			if realized < st.pending.projected*missFraction {
 				st.misses++
@@ -289,9 +273,7 @@ func (t *Tuner) Tick() {
 			}
 			st.pending = nil
 		}
-		skip := st.pending != nil || st.cooldown > 0 || prof.Batches < t.cfg.MinSamples ||
-			prof.NsPerRequest <= 0 ||
-			(exec.Normalize(cur.Backend) == exec.Sim && prof.Metered < t.cfg.MinSamples)
+		skip := st.pending != nil || st.cooldown > 0 || prof.Metered < t.cfg.MinSamples || energy <= 0
 		if st.cooldown > 0 {
 			st.cooldown--
 		}
@@ -309,11 +291,7 @@ func (t *Tuner) Tick() {
 		}
 		if win > t.cfg.Threshold {
 			st.lastProjected = win
-			pl := planned{id: id, st: st, spec: best.spec, win: win, base: prof.NsPerRequest}
-			if exec.Normalize(best.spec.Backend) == exec.Normalize(cur.Backend) {
-				pl.energy, pl.base = true, prof.EnergyPerRequest
-			}
-			plans = append(plans, pl)
+			plans = append(plans, planned{id: id, st: st, spec: best.spec, win: win, base: energy})
 		}
 		t.mu.Unlock()
 	}
@@ -326,7 +304,7 @@ func (t *Tuner) Tick() {
 		t.mu.Lock()
 		pl.st.republishes++
 		prof := pl.st.prof.Snapshot()
-		pl.st.pending = &pendingEval{baseline: pl.base, projected: pl.win, batchesAt: prof.Batches, energy: pl.energy}
+		pl.st.pending = &pendingEval{baseline: pl.base, projected: pl.win, meteredAt: prof.Metered}
 		t.mu.Unlock()
 		if t.cfg.OnRepublish != nil {
 			t.cfg.OnRepublish(pl.id, pl.spec)
@@ -339,71 +317,42 @@ type candidate struct {
 	cost float64
 }
 
-// score projects every candidate configuration's per-request cost and
-// returns the cheapest, plus how many candidates were scored. Layout
-// axes (curve × epsilon) are enumerated only for the sim backend —
-// native kernels never read the placement, so a layout change cannot
-// change native wall-clock and the honest projection is "no win".
+// score projects every candidate layout's energy per request and
+// returns the cheapest, plus how many candidates were scored.
 func (t *Tuner) score(cur engine.RetuneSpec, prof ProfileSnapshot, stats engine.DynStats) (candidate, uint64) {
-	var cands []engine.RetuneSpec
-	curBackend := exec.Normalize(cur.Backend)
-	if curBackend == exec.Sim {
-		for _, c := range t.cfg.Curves {
-			for _, eps := range t.cfg.Epsilons {
-				cands = append(cands, engine.RetuneSpec{Curve: c, Epsilon: eps, Backend: exec.Sim})
+	best := candidate{spec: cur, cost: t.project(cur, cur, prof, stats)}
+	for _, c := range t.cfg.Curves {
+		for _, eps := range t.cfg.Epsilons {
+			spec := engine.RetuneSpec{Curve: c, Epsilon: eps}
+			if e := t.project(cur, spec, prof, stats); e < best.cost {
+				best = candidate{spec: spec, cost: e}
 			}
 		}
-		if t.cfg.Backends {
-			cands = append(cands, engine.RetuneSpec{Curve: cur.Curve, Epsilon: cur.Epsilon, Backend: exec.Native})
-		}
-	} else if t.cfg.Backends {
-		cands = append(cands, engine.RetuneSpec{Curve: cur.Curve, Epsilon: cur.Epsilon, Backend: exec.Sim})
 	}
-	best := candidate{spec: cur, cost: t.project(cur, cur, prof, stats)}
-	for _, spec := range cands {
-		if c := t.project(cur, spec, prof, stats); c < best.cost {
-			best = candidate{spec: spec, cost: c}
-		}
-	}
-	return best, uint64(len(cands))
+	return best, uint64(len(t.cfg.Curves) * len(t.cfg.Epsilons))
 }
 
-// project estimates cand's serving cost for the profiled workload,
-// anchored at the shard's measured EWMA (the calibration: the
-// predictors only ever supply ratios between configurations, never
-// absolute costs, and only the ratio of two projections is ever used).
-// Layout candidates scale the anchor by the curve-quality ratio and the
-// ε drift/maintenance model — a model-energy claim, verified by the
-// realized-win check in the energy domain; backend switches apply the
-// NativeSpeedup wall-clock prior and are verified in wall-clock.
+// project estimates cand's model energy per request for the profiled
+// workload, anchored at the shard's sampled energy EWMA (the
+// calibration: the predictors only ever supply ratios between
+// configurations, never absolute costs, and only the ratio of two
+// projections is ever used). The anchor scales by the curve-quality
+// ratio and the ε drift model, and a mutating shard adds its
+// maintenance energy.
 func (t *Tuner) project(cur, cand engine.RetuneSpec, prof ProfileSnapshot, stats engine.DynStats) float64 {
-	ns := prof.NsPerRequest
-	curBackend, candBackend := exec.Normalize(cur.Backend), exec.Normalize(cand.Backend)
-	if candBackend != curBackend {
-		if candBackend == exec.Native {
-			ns /= t.cfg.NativeSpeedup
-		} else {
-			ns *= t.cfg.NativeSpeedup
-		}
-	}
-	if candBackend != exec.Sim {
-		return ns
-	}
-	ratio := t.curveQuality(cand.Curve) / t.curveQuality(cur.Curve)
-	ratio *= (1 + driftPenalty*cand.Epsilon) / (1 + driftPenalty*cur.Epsilon)
-	ns *= ratio
+	e := prof.EnergyPerRequest * t.curveQuality(cand.Curve) / t.curveQuality(cur.Curve)
+	e *= (1 + driftPenalty*cand.Epsilon) / (1 + driftPenalty*cur.Epsilon)
 	// Maintenance: rebuild amortization costs O(√n/ε) energy per
 	// mutation; the measured per-mutation maintenance energy under the
-	// current ε rescales by curε/candε, and the shard's own ns-per-energy
-	// converts it to wall-clock. Shards that never mutate skip the term.
+	// current ε rescales by curε/candε. Shards that never mutate skip
+	// the term.
 	muts := stats.Inserts + stats.Deletes
-	if muts > 0 && stats.Engine.Requests > 0 && prof.EnergyPerRequest > 0 && cand.Epsilon > 0 && cur.Epsilon > 0 {
+	if muts > 0 && stats.Engine.Requests > 0 && cand.Epsilon > 0 && cur.Epsilon > 0 {
 		maintPerMut := float64(stats.MigrateEnergy+stats.ParkEnergy) / float64(muts)
-		nsPerEnergy := prof.NsPerRequest / prof.EnergyPerRequest
 		mutRate := float64(muts) / float64(stats.Engine.Requests)
-		ns += mutRate * maintPerMut * nsPerEnergy * (cur.Epsilon / cand.Epsilon)
+		e += mutRate * maintPerMut * (cur.Epsilon / cand.Epsilon)
 	}
-	return ns
+	return e
 }
 
 // curveQuality returns the memoized quality factor of a curve: the

@@ -21,6 +21,7 @@ func machineCost(energy, depth int64) machine.Cost {
 type fakeShard struct {
 	mu      sync.Mutex
 	spec    engine.RetuneSpec
+	backend string // "" reads as sim, as for engine.DynOptions
 	stats   engine.DynStats
 	retunes []engine.RetuneSpec
 	applied bool // whether Retune updates spec (false = adversarial world)
@@ -32,6 +33,8 @@ func (f *fakeShard) LayoutConfig() engine.RetuneSpec {
 	defer f.mu.Unlock()
 	return f.spec
 }
+
+func (f *fakeShard) Backend() string { return exec.Normalize(f.backend) }
 
 func (f *fakeShard) Retune(spec engine.RetuneSpec) error {
 	f.mu.Lock()
@@ -57,8 +60,8 @@ func (f *fakeShard) SetProfile(fn engine.ProfileFunc) {
 
 // feed pushes n metered batches with the given per-request wall-clock
 // and model energy through the shard's installed profile observer. The
-// two axes matter separately: layout republishes are verified against
-// energy/request, backend switches against ns/request.
+// tuner scores and verifies republishes against energy/request only;
+// wall-clock is fed to show it does not enter the decision.
 func (f *fakeShard) feed(t *testing.T, n int, nsPerReq, energyPerReq float64) {
 	t.Helper()
 	f.mu.Lock()
@@ -136,7 +139,7 @@ func TestCurveQualityOrdersKnownCurves(t *testing.T) {
 }
 
 func TestTickRepublishesBadLayout(t *testing.T) {
-	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2, Backend: exec.Sim}, applied: true}
+	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2}, applied: true}
 	var published []string
 	tu := New(Config{MinSamples: 2, OnRepublish: func(id string, spec engine.RetuneSpec) {
 		published = append(published, id+":"+spec.Curve)
@@ -152,9 +155,6 @@ func TestTickRepublishesBadLayout(t *testing.T) {
 	if got := f.retunes[0].Curve; got == "scatter" || got == "" {
 		t.Fatalf("republished onto %q, want a real candidate curve", got)
 	}
-	if f.retunes[0].Backend != exec.Sim {
-		t.Fatalf("layout-only tuning switched backend to %q", f.retunes[0].Backend)
-	}
 	if len(published) != 1 || published[0] != "d1:"+f.retunes[0].Curve {
 		t.Fatalf("OnRepublish saw %v", published)
 	}
@@ -169,8 +169,8 @@ func TestTickRepublishesBadLayout(t *testing.T) {
 }
 
 func TestTickSkipsGoodLayoutAndStarvedShards(t *testing.T) {
-	good := &fakeShard{spec: engine.RetuneSpec{Curve: "hilbert", Epsilon: 0.2, Backend: exec.Sim}, applied: true}
-	starved := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2, Backend: exec.Sim}, applied: true}
+	good := &fakeShard{spec: engine.RetuneSpec{Curve: "hilbert", Epsilon: 0.2}, applied: true}
+	starved := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2}, applied: true}
 	tu := New(Config{MinSamples: 4})
 	tu.Adopt("good", good)
 	tu.Adopt("starved", starved)
@@ -186,7 +186,7 @@ func TestTickSkipsGoodLayoutAndStarvedShards(t *testing.T) {
 }
 
 func TestNativeShardsGetNoLayoutCandidates(t *testing.T) {
-	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2, Backend: exec.Native}, applied: true}
+	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2}, backend: exec.Native, applied: true}
 	tu := New(Config{MinSamples: 2})
 	tu.Adopt("d1", f)
 	f.feed(t, 4, 1000, 1000)
@@ -199,26 +199,11 @@ func TestNativeShardsGetNoLayoutCandidates(t *testing.T) {
 	}
 }
 
-func TestBackendSwitchCandidate(t *testing.T) {
-	// With Backends on, a sim shard on an already-good curve can still
-	// win big by switching to native (the NativeSpeedup prior).
-	f := &fakeShard{spec: engine.RetuneSpec{Curve: "hilbert", Epsilon: 0.2, Backend: exec.Sim}, applied: true}
-	tu := New(Config{MinSamples: 2, Backends: true})
-	tu.Adopt("d1", f)
-	f.feed(t, 4, 1000, 1000)
-	tu.Tick()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.retunes) != 1 || f.retunes[0].Backend != exec.Native {
-		t.Fatalf("retunes = %v, want one switch to native", f.retunes)
-	}
-}
-
 // TestRealizedWinHitAndMiss drives both arms of the post-republish
 // check: a realized win keeps the shard hot, a miss arms the doubling
 // cooldown.
 func TestRealizedWinHitAndMiss(t *testing.T) {
-	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2, Backend: exec.Sim}, applied: true}
+	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2}, applied: true}
 	tu := New(Config{MinSamples: 2})
 	tu.Adopt("d1", f)
 	f.feed(t, 3, 1000, 1000)
@@ -245,7 +230,7 @@ func TestRealizedWinHitAndMiss(t *testing.T) {
 	}
 
 	// Second shard: the republish does not help at all -> miss, cooldown.
-	g := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2, Backend: exec.Sim}, applied: false}
+	g := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2}, applied: false}
 	tu.Adopt("d2", g)
 	g.feed(t, 3, 1000, 1000)
 	tu.Tick()
@@ -272,7 +257,7 @@ func TestRealizedWinHitAndMiss(t *testing.T) {
 // doubling cooldown push republishes to a logarithmic trickle, not a
 // per-tick flip-flop.
 func TestHysteresisBoundsRepublishes(t *testing.T) {
-	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2, Backend: exec.Sim}, applied: false}
+	f := &fakeShard{spec: engine.RetuneSpec{Curve: "scatter", Epsilon: 0.2}, applied: false}
 	tu := New(Config{MinSamples: 2})
 	tu.Adopt("d1", f)
 	const ticks = 400
@@ -299,7 +284,7 @@ func TestHysteresisBoundsRepublishes(t *testing.T) {
 }
 
 func TestAdoptReleaseInstallsProfile(t *testing.T) {
-	f := &fakeShard{spec: engine.RetuneSpec{Curve: "hilbert", Epsilon: 0.2, Backend: exec.Sim}}
+	f := &fakeShard{spec: engine.RetuneSpec{Curve: "hilbert", Epsilon: 0.2}}
 	tu := New(Config{})
 	tu.Adopt("d1", f)
 	f.mu.Lock()
@@ -321,7 +306,7 @@ func TestAdoptReleaseInstallsProfile(t *testing.T) {
 }
 
 func TestStartStop(t *testing.T) {
-	f := &fakeShard{spec: engine.RetuneSpec{Curve: "hilbert", Epsilon: 0.2, Backend: exec.Sim}}
+	f := &fakeShard{spec: engine.RetuneSpec{Curve: "hilbert", Epsilon: 0.2}}
 	tu := New(Config{})
 	tu.Adopt("d1", f)
 	tu.Start(time.Millisecond)
