@@ -477,9 +477,12 @@ func BenchmarkE14DynChurn(b *testing.B) {
 // historical serving path — every batch through the spatial-computer
 // simulator with per-message accounting; the native arm runs the same
 // batches on the goroutine-parallel kernels. The acceptance target is
-// native ≥ 5× sim; in practice the gap is well over an order of
-// magnitude, which is the whole argument for demoting the simulator to
-// a metering/validation backend.
+// native ≥ 5× sim (a bench_floors.json floor). Both arms are
+// allocation-light: the sim arm's contraction workspace is pooled and
+// the native arm folds non-invertible operators in one preorder pass.
+// Measured on a 2-CPU x86-64 VM: sim 99.7 ms/op, native 6.75 ms/op,
+// ≈15× — the gap that demotes the simulator to a metering/validation
+// backend.
 func BenchmarkE16NativeBackend(b *testing.B) {
 	t := tree.RandomAttachment(benchN, rng.New(80))
 	const reqs = 16

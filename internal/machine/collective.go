@@ -6,16 +6,8 @@ package machine
 // distance-bound curve. They are implemented as explicit message
 // patterns so the simulator's measured costs are emergent.
 
-// quadRep returns the rank of the representative of the 2^k-aligned block
-// containing rank r: the processor at the block's low corner.
-func (s *Sim) quadRep(r, blockSide int) int {
-	x := int(s.x[r]) &^ (blockSide - 1)
-	y := int(s.y[r]) &^ (blockSide - 1)
-	return s.curve.Index(x, y, s.side)
-}
-
 // rankAt returns the rank of the processor at grid coordinates (x, y).
-func (s *Sim) rankAt(x, y int) int { return s.curve.Index(x, y, s.side) }
+func (s *Sim) rankAt(x, y int) int { return int(s.at[y*s.side+x]) }
 
 // ReduceGrid reduces the values held by all processors into the
 // representative of the whole grid (the processor at (0,0)'s block
@@ -90,8 +82,10 @@ func AllReduceGrid(s *Sim, vals []int64, op func(a, b int64) int64) int64 {
 // curves.
 func Barrier(s *Sim) {
 	if s.side&(s.side-1) == 0 {
-		vals := make([]int64, s.procs)
-		AllReduceGrid(s, vals, func(a, b int64) int64 { return a + b })
+		if s.zeros == nil {
+			s.zeros = make([]int64, s.procs)
+		}
+		AllReduceGrid(s, s.zeros, func(a, b int64) int64 { return a + b })
 		return
 	}
 	RangeReduce(s, 0, s.procs-1, func(int) int64 { return 0 },

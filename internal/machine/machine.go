@@ -32,7 +32,15 @@ type Sim struct {
 	side  int
 	procs int
 	x, y  []int16 // grid coordinates per rank
+	at    []int32 // rank per grid point, at[y*side+x]: the inverse of x, y
 	clock []int64 // per-processor dependency clock (schedule time)
+
+	// departs is SendBatch's per-message departure scratch, reused
+	// across batches.
+	departs []int64
+	// zeros is Barrier's all-zero operand, allocated on the first
+	// power-of-two barrier; a sum of zeros leaves it all zero.
+	zeros []int64
 
 	energy   int64
 	messages int64
@@ -59,11 +67,13 @@ func New(n int, curve sfc.Curve) *Sim {
 		procs: procs,
 		x:     make([]int16, procs),
 		y:     make([]int16, procs),
+		at:    make([]int32, procs),
 		clock: make([]int64, procs),
 	}
 	for r := 0; r < procs; r++ {
 		x, y := curve.XY(r, side)
 		s.x[r], s.y[r] = int16(x), int16(y)
+		s.at[y*side+x] = int32(r)
 	}
 	return s
 }
@@ -172,7 +182,10 @@ func (s *Sim) Send(src, dst int) {
 // compare-exchange pairs of a sorting network); plain Send would thread
 // false dependencies through the issue order.
 func (s *Sim) SendBatch(pairs [][2]int) {
-	departs := make([]int64, len(pairs))
+	if cap(s.departs) < len(pairs) {
+		s.departs = make([]int64, len(pairs))
+	}
+	departs := s.departs[:len(pairs)]
 	for i, p := range pairs {
 		if p[0] == p[1] {
 			departs[i] = -1

@@ -12,11 +12,10 @@
 //     O(1) algorithm state per processor and every message charged
 //     (Lemmas 10-12: O(n log n) energy; O(log n) depth for bounded
 //     degree, O(log² n) otherwise, with high probability).
-//   - Engine.BottomUp / TopDown: goroutine-parallel executors under any
-//     registered operator (Euler-tour scans, range tables and pointer
-//     doubling chosen by the operator's capabilities) — the native
-//     serving backend's treefix kernel. BottomUpSum / TopDownSum remain
-//     the specialized + fast paths.
+//   - Engine.BottomUp / TopDown: the native serving backend's treefix
+//     kernel under any registered operator (parallel Euler-tour scans
+//     for invertible operators, one preorder pass otherwise).
+//     BottomUpSum / TopDownSum remain the specialized + fast paths.
 package treefix
 
 import "fmt"
@@ -26,11 +25,10 @@ import "fmt"
 // (the paper's examples: sum, maximum). Identity must satisfy
 // Combine(Identity, x) == x.
 //
-// The optional capability fields drive the goroutine-parallel Engine's
-// dispatch: an invertible operator (a group, like add or xor) is
-// executed as a prefix-scan difference over the Euler tour, an
-// idempotent one (max, min) as a sparse range table; operators with
-// neither capability still execute through slower generic paths. The
+// The optional capability fields describe the operator. Invert drives
+// the goroutine-parallel Engine's dispatch: an invertible operator (a
+// group, like add or xor) is executed as a prefix-scan difference over
+// the Euler tour, any other one as a single pass over the preorder. The
 // spatial-simulator executors ignore both fields — contraction only
 // needs Combine.
 type Op struct {

@@ -32,28 +32,26 @@ func invalid(err error) error { return invalidError{err} }
 
 // Engine is the goroutine-parallel treefix executor: the native serving
 // backend's treefix kernel (and the wall-clock arm of experiment E12).
-// It precomputes the Euler tour positions of the tree once (the paper
-// amortizes layout/preprocessing across iterations, Section I-D) and
-// then answers bottom-up and top-down treefix sums with parallel passes
-// over the edge tour.
+// It precomputes the Euler tour positions and the preorder of the tree
+// once (the paper amortizes layout/preprocessing across iterations,
+// Section I-D) and then answers bottom-up and top-down treefix sums.
 //
 // BottomUp and TopDown accept any registered operator and dispatch on
-// its capabilities: invertible operators (add, xor) run as prefix-scan
-// differences over the tour; idempotent operators (max, min) answer
-// subtree folds from a sparse range table and root-path folds by
-// parent-pointer doubling; any other commutative operator falls back to
-// the host rake/compress contraction (the sequential oracle). The
-// *Sum methods remain the specialized + fast paths.
+// its capabilities: invertible operators (add, xor) run as parallel
+// prefix-scan differences over the edge tour; any other operator (max,
+// min, or one with no declared capability) runs as one O(n) pass over
+// the preorder — children fold into parents in reverse preorder, and
+// root-path folds extend the parent's in preorder. The *Sum methods
+// remain the specialized + fast paths.
 type Engine struct {
 	t *tree.Tree
 	// downPos[v], upPos[v]: positions of v's down/up edge in the Euler
 	// edge tour (root: virtual positions -1 and 2(n-1)).
 	downPos, upPos []int32
-	// maxDepth is the deepest vertex's depth, recorded during the tour
-	// DFS so topDownDoubling knows its round count without re-walking
-	// the tree per request.
-	maxDepth int
-	workers  int
+	// pre lists the vertices in the tour DFS's preorder: every parent
+	// precedes its children.
+	pre     []int32
+	workers int
 	// scratch recycles the 2(n-1)+1-sized tour contribution arrays the
 	// prefix-scan kernels build per call: on the serving hot path these
 	// were the engine's dominant per-request allocation (256 KiB per
@@ -82,13 +80,14 @@ func (e *Engine) getContribZero(size int) []int64 {
 
 func (e *Engine) putContrib(s []int64) { e.scratch.Put(&s) }
 
-// NewEngine builds the tour positions with a host DFS.
+// NewEngine builds the tour positions and the preorder with a host DFS.
 func NewEngine(t *tree.Tree, workers int) *Engine {
 	n := t.N()
 	e := &Engine{
 		t:       t,
 		downPos: make([]int32, n),
 		upPos:   make([]int32, n),
+		pre:     make([]int32, 0, n),
 		workers: workers,
 	}
 	if n == 0 {
@@ -98,6 +97,7 @@ func NewEngine(t *tree.Tree, workers int) *Engine {
 	root := t.Root()
 	e.downPos[root] = -1
 	e.upPos[root] = int32(2 * (n - 1))
+	e.pre = append(e.pre, int32(root))
 	type frame struct {
 		v    int
 		next int
@@ -111,10 +111,8 @@ func NewEngine(t *tree.Tree, workers int) *Engine {
 			f.next++
 			e.downPos[c] = pos
 			pos++
+			e.pre = append(e.pre, int32(c))
 			stack = append(stack, frame{c, 0})
-			if d := len(stack) - 1; d > e.maxDepth {
-				e.maxDepth = d
-			}
 			continue
 		}
 		if f.v != root {
@@ -182,13 +180,8 @@ func (e *Engine) BottomUp(vals []int64, op Op) ([]int64, error) {
 		return e.BottomUpSum(vals), nil
 	case op.Invert != nil:
 		return e.bottomUpInvertible(vals, op), nil
-	case op.Idempotent:
-		return e.bottomUpIdempotent(vals, op), nil
 	default:
-		// Host rake/compress fallback: the sequential contraction
-		// handles any commutative operator, and for a single core it is
-		// also the fastest executor the repository ships.
-		return SequentialBottomUp(e.t, vals, op), nil
+		return e.bottomUpFold(vals, op), nil
 	}
 }
 
@@ -209,9 +202,7 @@ func (e *Engine) TopDown(vals []int64, op Op) ([]int64, error) {
 	case op.Invert != nil:
 		return e.topDownInvertible(vals, op), nil
 	default:
-		// Parent-pointer doubling computes root-path prefixes for any
-		// associative operator in O(log depth) rounds of O(n) work.
-		return e.topDownDoubling(vals, op), nil
+		return e.topDownFold(vals, op), nil
 	}
 }
 
@@ -255,92 +246,18 @@ func (e *Engine) bottomUpInvertible(vals []int64, op Op) []int64 {
 	return out
 }
 
-// bottomUpIdempotent answers subtree folds of a non-invertible
-// idempotent operator (max, min) from a sparse table over the edge
-// tour: overlapping power-of-two windows are harmless exactly because
-// the operator is idempotent. O(n log n) build (parallel over rows),
-// O(1) per vertex.
-func (e *Engine) bottomUpIdempotent(vals []int64, op Op) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
-		return out
+// bottomUpFold answers subtree folds of any commutative operator with
+// one pass in reverse preorder: a vertex's fold is complete before it
+// is folded into its parent's. O(n) work, no scratch.
+func (e *Engine) bottomUpFold(vals []int64, op Op) []int64 {
+	out := make([]int64, len(vals))
+	copy(out, vals)
+	for i := len(e.pre) - 1; i > 0; i-- {
+		v := e.pre[i]
+		p := e.t.Parent(int(v))
+		out[p] = op.Combine(out[p], out[v])
 	}
-	if n == 1 {
-		out[0] = vals[0]
-		return out
-	}
-	L := 2 * (n - 1)
-	contrib := e.getContrib(L)
-	root := e.t.Root()
-	par.For(L, e.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			contrib[i] = op.Identity
-		}
-	})
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if v != root {
-				contrib[e.downPos[v]] = vals[v]
-			}
-		}
-	})
-	fold := newRangeTable(contrib, op, e.workers)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			// Down edges strictly inside v's subtree span tour positions
-			// [downPos[v]+1, upPos[v]-1] (empty for leaves).
-			out[v] = op.Combine(vals[v], fold(int(e.downPos[v])+1, int(e.upPos[v])-1))
-		}
-	})
-	e.putContrib(contrib)
 	return out
-}
-
-// newRangeTable builds a sparse table over contrib and returns an
-// inclusive range-fold function; ranges outside or empty fold to the
-// identity. Requires an idempotent op.
-func newRangeTable(contrib []int64, op Op, workers int) func(lo, hi int) int64 {
-	m := len(contrib)
-	levels := 1
-	for 1<<levels <= m {
-		levels++
-	}
-	table := make([][]int64, 0, levels)
-	table = append(table, contrib)
-	for k := 1; k < levels; k++ {
-		width := 1 << k
-		rows := m - width + 1
-		if rows <= 0 {
-			break
-		}
-		row := make([]int64, rows)
-		prev := table[k-1]
-		half := width / 2
-		par.For(rows, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				row[i] = op.Combine(prev[i], prev[i+half])
-			}
-		})
-		table = append(table, row)
-	}
-	logs := make([]uint8, m+1)
-	for i := 2; i <= m; i++ {
-		logs[i] = logs[i/2] + 1
-	}
-	return func(lo, hi int) int64 {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= m {
-			hi = m - 1
-		}
-		if lo > hi {
-			return op.Identity
-		}
-		k := logs[hi-lo+1]
-		return op.Combine(table[k][lo], table[k][hi-(1<<k)+1])
-	}
 }
 
 // topDownInvertible generalizes TopDownSum: each vertex deposits its
@@ -387,42 +304,17 @@ func (e *Engine) topDownInvertible(vals []int64, op Op) []int64 {
 	return out
 }
 
-// topDownDoubling computes root-path folds for any associative operator
-// by parent-pointer doubling: after round k, out[v] folds vals over the
-// path segment of length min(2^k, depth(v)+1) ending at v, and jump[v]
-// points 2^k ancestors up (or -1 past the root). O(log depth) rounds,
-// double-buffered so each round is a race-free parallel map.
-func (e *Engine) topDownDoubling(vals []int64, op Op) []int64 {
-	n := e.t.N()
-	out := make([]int64, n)
-	if n == 0 {
-		return out
-	}
-	maxDepth := e.maxDepth
-	jump := make([]int32, n)
-	par.For(n, e.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
+// topDownFold computes root-path folds for any associative operator
+// with one pass in preorder: a vertex's parent is final before the
+// vertex extends it. O(n) work, no scratch.
+func (e *Engine) topDownFold(vals []int64, op Op) []int64 {
+	out := make([]int64, len(vals))
+	for _, v := range e.pre {
+		if p := e.t.Parent(int(v)); p == -1 {
 			out[v] = vals[v]
-			jump[v] = int32(e.t.Parent(v))
+		} else {
+			out[v] = op.Combine(out[p], vals[v])
 		}
-	})
-	nout := make([]int64, n)
-	njump := make([]int32, n)
-	for span := 1; span <= maxDepth; span *= 2 {
-		par.For(n, e.workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if j := jump[v]; j >= 0 {
-					// out[j]'s segment ends just above out[v]'s: prepend.
-					nout[v] = op.Combine(out[j], out[v])
-					njump[v] = jump[j]
-				} else {
-					nout[v] = out[v]
-					njump[v] = -1
-				}
-			}
-		})
-		out, nout = nout, out
-		jump, njump = njump, jump
 	}
 	return out
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // opsTestTrees yields the shapes that stress each dispatch path: deep
-// paths (pointer doubling rounds), stars (wide rake groups), random
+// paths (long preorder chains), stars (wide rake groups), random
 // attachment (mixed), bounded degree, and delete-renumbered id orders
 // (parent ids above child ids).
 func opsTestTrees(t *testing.T, n int, seed uint64) []*tree.Tree {
@@ -84,8 +84,7 @@ func TestEngineGeneralOps(t *testing.T) {
 
 // TestEngineNonCapabilityOp exercises the fallback paths: a commutative
 // operator with neither Invert nor Idempotent set must still compute
-// correct folds (bottom-up through the host contraction, top-down
-// through pointer doubling).
+// correct folds (both directions through the preorder passes).
 func TestEngineNonCapabilityOp(t *testing.T) {
 	// Saturating add: commutative and associative, not a group, not
 	// idempotent.
